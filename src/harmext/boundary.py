@@ -24,6 +24,15 @@ inverse_kernel_energy ("V"):
   The inner integral can be negative (A changes sign at t = 1); the outer
   power uses the positive part, with the number of negative inner values
   and, when p-1 is an integer, the raw signed total reported in the notes.
+
+Both are computed in two stages.  The map-only stage is a geometry of
+chords (``PairGeometry.build``; the fine and coarse ``InverseGeometry``
+from ``inverse_kernel_geometries``), which a caller builds once and
+evaluates at any number of parameter points (``evaluate_gauge_pair``,
+``evaluate_inverse_kernel``).  ``gauge_pair_energy`` and
+``inverse_kernel_energy`` do both in one call.  A geometry lives as long
+as its caller holds it; the only cache here is the kernel table, keyed by
+the parameter values.
 """
 
 from __future__ import annotations
@@ -111,18 +120,22 @@ def _chord(d):
 class PairGeometry:
     """Chords and quadrature weights for the off-diagonal ring split.
 
-    Reused across parameter points: the geometry depends only on the map
-    and the quadrature spec, while Phi and the exponents do not touch it.
+    The map-only stage of U: the geometry depends only on the map and the
+    quadrature spec, while Phi and the exponents do not touch it, so one
+    geometry serves every parameter point (``evaluate_gauge_pair``).
     """
 
+    description: str       # the map's description
+    n_outer: int
+    n_inner: int
     rings: list            # ring index j
     chords: list           # |xi - eta| per node, flattened per ring
     image_chords: list     # |phi xi - phi eta| per node
     weights: list          # product measure per node, one scalar per ring
 
     @classmethod
-    def build(cls, circle_map: CircleMap, n_outer: int, n_inner: int,
-              diagonal_rings: int) -> "PairGeometry":
+    def build(cls, circle_map: CircleMap, n_outer: int = 256,
+              n_inner: int = 32, diagonal_rings: int = 12) -> "PairGeometry":
         rings, chords, imchords, weights = [], [], [], []
         for j in range(1, diagonal_rings + 1):
             # the integrand varies at the offset scale 2^-j, so the outer
@@ -145,22 +158,9 @@ class PairGeometry:
             chords.append(_chord(np.broadcast_to(d_source, y.shape)).ravel())
             imchords.append(_chord(du).ravel())
             weights.append(w)
-        return cls(rings=rings, chords=chords, image_chords=imchords,
-                   weights=weights)
-
-
-_pair_geometry_cache: dict = {}
-
-
-def _pair_geometry(circle_map: CircleMap, n_outer: int, n_inner: int,
-                   diagonal_rings: int) -> PairGeometry:
-    key = (id(circle_map), n_outer, n_inner, diagonal_rings)
-    if key not in _pair_geometry_cache:
-        if len(_pair_geometry_cache) > 6:
-            _pair_geometry_cache.clear()
-        _pair_geometry_cache[key] = PairGeometry.build(
-            circle_map, n_outer, n_inner, diagonal_rings)
-    return _pair_geometry_cache[key]
+        return cls(description=circle_map.description, n_outer=n_outer,
+                   n_inner=n_inner, rings=rings, chords=chords,
+                   image_chords=imchords, weights=weights)
 
 
 # -------------------------------------------------------------------- U
@@ -169,7 +169,13 @@ def gauge_pair_energy(circle_map: CircleMap, params: EnergyParams,
                       diagonal_rings: int = 12, n_outer: int = 256,
                       n_inner: int = 32, window: int = 3) -> EnergyReport:
     """The Orlicz-gauge pair energy over the circle, by diagonal rings."""
-    geom = _pair_geometry(circle_map, n_outer, n_inner, diagonal_rings)
+    geom = PairGeometry.build(circle_map, n_outer, n_inner, diagonal_rings)
+    return evaluate_gauge_pair(geom, params, window)
+
+
+def evaluate_gauge_pair(geom: PairGeometry, params: EnergyParams,
+                        window: int = 3) -> EnergyReport:
+    """U at one parameter point from a built pair geometry."""
     spec = OrliczSpec(p=params.p, lam=params.lam)
     scale = (2.0 * math.pi) ** 2
     per_ring = []
@@ -182,9 +188,9 @@ def gauge_pair_energy(circle_map: CircleMap, params: EnergyParams,
     rep = EnergyReport(functional="gauge_pair", params=params,
                        levels=geom.rings, per_level=np.asarray(per_ring),
                        value=float(np.sum(per_ring)))
-    rep.notes["map"] = circle_map.description
-    rep.notes["n_outer"] = n_outer
-    rep.notes["n_inner"] = n_inner
+    rep.notes["map"] = geom.description
+    rep.notes["n_outer"] = geom.n_outer
+    rep.notes["n_inner"] = geom.n_inner
     return finalize(rep, window=window)
 
 
@@ -192,8 +198,9 @@ def gauge_pair_energy(circle_map: CircleMap, params: EnergyParams,
 
 @dataclass
 class InverseGeometry:
-    """Inverse-image chords for the V-energy quadrature."""
+    """Inverse-image chords for the V-energy quadrature (map-only stage)."""
 
+    description: str          # the map's description
     inv_chords: np.ndarray    # (n_outer, n_offsets)
     offset_weights: np.ndarray
 
@@ -222,20 +229,24 @@ class InverseGeometry:
         # difference underflows to 0 and the kernel would report a
         # spurious divergence; floor at the resolution of the inversion
         d = np.maximum(d, 2.0 ** -50)
-        return cls(inv_chords=_chord(d), offset_weights=wts)
+        return cls(description=circle_map.description, inv_chords=_chord(d),
+                   offset_weights=wts)
 
 
-_inverse_geometry_cache: dict = {}
+def inverse_kernel_geometries(circle_map: CircleMap, n_outer: int = 192,
+                              nodes_per_ring: int = 32, total_rings: int = 28,
+                              refine_check: bool = True) -> tuple:
+    """The map-only stage of V: the fine geometry and the coarse one.
 
-
-def _inverse_geometry(circle_map, n_outer, nodes_per_ring, total_rings):
-    key = (id(circle_map), n_outer, nodes_per_ring, total_rings)
-    if key not in _inverse_geometry_cache:
-        if len(_inverse_geometry_cache) > 8:
-            _inverse_geometry_cache.clear()
-        _inverse_geometry_cache[key] = InverseGeometry.build(
-            circle_map, n_outer, nodes_per_ring, total_rings)
-    return _inverse_geometry_cache[key]
+    The coarse geometry (half the nodes) serves the refinement check that
+    classifies the value; it is None when ``refine_check`` is off.
+    """
+    fine = InverseGeometry.build(circle_map, n_outer, nodes_per_ring,
+                                 total_rings)
+    coarse = InverseGeometry.build(
+        circle_map, n_outer // 2, max(nodes_per_ring // 2, 4),
+        total_rings) if refine_check else None
+    return fine, coarse
 
 
 def inverse_kernel_energy(circle_map: CircleMap, params: EnergyParams,
@@ -243,30 +254,37 @@ def inverse_kernel_energy(circle_map: CircleMap, params: EnergyParams,
                           total_rings: int = 28,
                           refine_check: bool = True) -> EnergyReport:
     """The kernel double integral V with positive-part outer power."""
-    value, inner, notes = _v_value(circle_map, params, n_outer,
-                                   nodes_per_ring, total_rings)
+    return evaluate_inverse_kernel(
+        inverse_kernel_geometries(circle_map, n_outer, nodes_per_ring,
+                                  total_rings, refine_check), params)
+
+
+def evaluate_inverse_kernel(geometries: tuple,
+                            params: EnergyParams) -> EnergyReport:
+    """V at one parameter point from ``inverse_kernel_geometries``."""
+    fine, coarse = geometries
+    value, inner, notes = _v_value(fine, params)
     classification = "inconclusive"
-    if refine_check:
-        coarse, _, _ = _v_value(circle_map, params, n_outer // 2,
-                                max(nodes_per_ring // 2, 4), total_rings)
-        notes["coarse_value"] = coarse
+    if coarse is not None:
+        coarse_value, _, _ = _v_value(coarse, params)
+        notes["coarse_value"] = coarse_value
         denom = max(abs(value), 1e-12)
-        if abs(value - coarse) / denom < 0.05 or \
-                (abs(value) < 1e-9 and abs(coarse) < 1e-9):
+        if abs(value - coarse_value) / denom < 0.05 or \
+                (abs(value) < 1e-9 and abs(coarse_value) < 1e-9):
             classification = "converged"
-        elif np.isinf(value) or (abs(coarse) > 0 and value > 4 * abs(coarse)):
+        elif np.isinf(value) or (abs(coarse_value) > 0
+                                 and value > 4 * abs(coarse_value)):
             classification = "diverging"
     rep = EnergyReport(functional="inverse_kernel", params=params,
                        levels=[0], per_level=np.array([value]), value=value,
                        classification=classification, notes=notes)
-    rep.notes["map"] = circle_map.description
+    rep.notes["map"] = fine.description
     rep.notes["inner_range"] = (float(np.min(inner)), float(np.max(inner)))
     return rep
 
 
-def _v_value(circle_map, params, n_outer, nodes_per_ring, total_rings):
+def _v_value(geom: InverseGeometry, params: EnergyParams):
     p, alpha, lam = params.p, params.alpha, params.lam
-    geom = _inverse_geometry(circle_map, n_outer, nodes_per_ring, total_rings)
     A = _kernel_eval(p, alpha, lam, geom.inv_chords)
     two_pi = 2.0 * math.pi
     inner = two_pi * np.sum(A * geom.offset_weights[None, :], axis=1)

@@ -42,15 +42,38 @@ from .poisson import PoissonExtension
 from .report import SCHEMA_VERSION, EnergyParams
 from .weights import WeightSpec, estimate_ap_constant, jones_factors, weight
 
-FUNCTIONALS = {
-    "e1": "length_power",
-    "e2": "gauge_ratio",
-    "i1": "kernel_weight",
-    "i2": "kernel_gauge",
-    "u": "gauge_pair",
-    "v": "inverse_kernel",
+# The disk and pair functionals sample at most this many levels / rings.
+MAX_SAMPLED_LEVELS = 14
+
+# Every command computes in two stages.  A stage holds the map-only data
+# of some functionals and is built once per command: stage name ->
+# build(circle_map, levels).
+STAGES = {
+    "map": lambda m, levels: m,
+    "poisson": lambda m, levels: PoissonExtension(m),
+    "pair": lambda m, levels: boundary.PairGeometry.build(
+        m, diagonal_rings=min(levels, MAX_SAMPLED_LEVELS)),
+    "inverse": lambda m, levels: boundary.inverse_kernel_geometries(m),
 }
 
+# Functional key -> (stage name, evaluate(stage, params, levels)); the
+# evaluation runs once per parameter point against the built stage.
+FUNCTIONALS = {
+    "e1": ("map", lambda m, params, levels:
+           discrete.length_power_energy(m, params, levels)),
+    "e2": ("map", lambda m, params, levels:
+           discrete.gauge_ratio_energy(m, params, levels)),
+    "i1": ("poisson", lambda ext, params, levels:
+           ext.kernel_weight_integral(params,
+                                      min(levels, MAX_SAMPLED_LEVELS))),
+    "i2": ("poisson", lambda ext, params, levels:
+           ext.kernel_gauge_integral(params,
+                                     min(levels, MAX_SAMPLED_LEVELS))),
+    "u": ("pair", lambda geom, params, levels:
+          boundary.evaluate_gauge_pair(geom, params)),
+    "v": ("inverse", lambda geoms, params, levels:
+          boundary.evaluate_inverse_kernel(geoms, params)),
+}
 
 def region_label(p: float, alpha: float, lam: float) -> str:
     """Predicted behaviour of the weighted integrals for a homeomorphism.
@@ -87,34 +110,32 @@ def _emit(args, payload: dict, rows: list):
         sys.stdout.write(text)
 
 
-def _compute_reports(args, circle_map, params: EnergyParams, levels: int):
+def _wanted_functionals(args) -> list:
     wanted = [f.strip() for f in args.functionals.split(",") if f.strip()]
     bad = [f for f in wanted if f not in FUNCTIONALS]
     if bad:
         raise LabError(f"unknown functionals {bad}; choose from "
                        f"{sorted(FUNCTIONALS)}")
-    reports = []
-    ext = None
-    for f in wanted:
-        if f == "e1":
-            reports.append(discrete.length_power_energy(
-                circle_map, params, levels))
-        elif f == "e2":
-            reports.append(discrete.gauge_ratio_energy(
-                circle_map, params, levels))
-        elif f in ("i1", "i2"):
-            if ext is None:
-                ext = PoissonExtension(circle_map)
-            fn = ext.kernel_weight_integral if f == "i1" \
-                else ext.kernel_gauge_integral
-            reports.append(fn(params, min(levels, 14)))
-        elif f == "u":
-            reports.append(boundary.gauge_pair_energy(
-                circle_map, params, diagonal_rings=min(levels, 14)))
-        elif f == "v":
-            reports.append(boundary.inverse_kernel_energy(circle_map, params))
-    return reports
+    return wanted
 
+
+def _build_stages(circle_map, wanted: list, levels: int) -> dict:
+    """The stages the wanted functionals need, each built once."""
+    stages = {}
+    for f in wanted:
+        name = FUNCTIONALS[f][0]
+        if name not in stages:
+            stages[name] = STAGES[name](circle_map, levels)
+    return stages
+
+
+def _compute_reports(stages: dict, wanted: list, params: EnergyParams,
+                     levels: int) -> list:
+    reports = []
+    for f in wanted:
+        stage, evaluate = FUNCTIONALS[f]
+        reports.append(evaluate(stages[stage], params, levels))
+    return reports
 
 def _ratio_summary(reports, p: float) -> dict:
     """Ratios of every computed functional against the dyadic length energy.
@@ -141,7 +162,9 @@ def _ratio_summary(reports, p: float) -> dict:
 def cmd_energy(args) -> int:
     circle_map = from_description(args.map)
     params = EnergyParams(args.p[0], args.alpha[0], args.lam[0])
-    reports = _compute_reports(args, circle_map, params, args.levels)
+    wanted = _wanted_functionals(args)
+    stages = _build_stages(circle_map, wanted, args.levels)
+    reports = _compute_reports(stages, wanted, params, args.levels)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "energy",
@@ -157,13 +180,15 @@ def cmd_energy(args) -> int:
 
 def cmd_sweep(args) -> int:
     circle_map = from_description(args.map)
+    wanted = _wanted_functionals(args)
+    stages = _build_stages(circle_map, wanted, args.levels)
     entries = []
     rows = []
     for p in args.p:
         for alpha in args.alpha:
             for lam in args.lam:
                 params = EnergyParams(p, alpha, lam)
-                reports = _compute_reports(args, circle_map, params,
+                reports = _compute_reports(stages, wanted, params,
                                            args.levels)
                 entry = {
                     "p": p, "alpha": alpha, "lambda": lam,

@@ -32,7 +32,11 @@ h_z = sum k c_k z^(k-1), h_zbar = sum k c_{-k} zbar^(k-1) (c_k the FFT
 coefficients of the boundary samples) is evaluated on radial slices by
 index folding -- exactly the trapezoid kernel quadrature, resummed, which
 keeps level J ~ 16 affordable.  |Dh| samples are cached per level and
-reused across parameter points.
+reused across parameter points: a ``PoissonExtension`` is the map-only
+stage of I1 and I2 (the FFT coefficients, about 32 MB at level 14, and
+the per-level samples), and the ``energy`` and ``sweep`` commands build
+one per command (``cli.STAGES``) and evaluate every parameter point
+against it.
 """
 
 from __future__ import annotations

@@ -269,10 +269,11 @@ def pair_table(fleet):
     """Pair-energy reports (12 diagonal rings) per (map, p, a, lam)."""
     table = {}
     for name, m in fleet.items():
+        geom = boundary.PairGeometry.build(m)
         for (p, a, lam) in param_points():
             params = EnergyParams(p, a, lam)
             table[(name, p, a, lam)] = \
-                boundary.gauge_pair_energy(m, params)
+                boundary.evaluate_gauge_pair(geom, params)
     return table
 
 
@@ -329,18 +330,19 @@ def v_ratio_table(fleet):
     with like; for the smooth maps level 20 is already converged.
     """
     table = {}
-    for p in P_VALUES:
-        params = EnergyParams(p, (p - 3.0) / 2.0, 0.0)
-        for name, m in fleet.items():
+    for name, m in fleet.items():
+        geometries = [boundary.inverse_kernel_geometries(
+            m, total_rings=rings, refine_check=False) for rings in (20, 28)]
+        for p in P_VALUES:
+            params = EnergyParams(p, (p - 3.0) / 2.0, 0.0)
             if name == "staircase_s2":
                 e1 = float(np.sum(discrete.level_sums_for_range(
                     m, params, range(1, 32))))
             else:
                 e1 = discrete.length_power_energy(m, params, 20).value
             qs = []
-            for rings in (20, 28):
-                v = boundary.inverse_kernel_energy(
-                    m, params, total_rings=rings, refine_check=False).value
+            for rings, geoms in zip((20, 28), geometries):
+                v = boundary.evaluate_inverse_kernel(geoms, params).value
                 assert v > 0, (name, p, rings)
                 qs.append(v ** (1.0 / (p - 1.0)))
             table[(name, p)] = (qs, e1)

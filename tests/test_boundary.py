@@ -11,6 +11,7 @@ from harmext.errors import DomainError
 from harmext.report import EnergyParams
 
 PL = ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0))
+PL_KINKED = ((0.0, 0.0), (0.25, 0.5), (0.75, 0.6), (1.0, 1.0))
 
 
 # ----------------------------------------------------------------- kernel
@@ -104,13 +105,6 @@ def test_pair_energy_rings_positive_and_recorded():
     assert rep.value == pytest.approx(float(np.sum(rep.per_level)))
 
 
-def test_pair_geometry_is_cached_per_map():
-    m = circle_map.piecewise_linear(PL)
-    g1 = boundary._pair_geometry(m, 64, 8, 6)
-    g2 = boundary._pair_geometry(m, 64, 8, 6)
-    assert g1 is g2
-
-
 # ---------------------------------------------------------------------- V
 
 def test_inverse_kernel_identity_mean_zero():
@@ -153,3 +147,32 @@ def test_inverse_kernel_respects_plateau_inverse():
     m = circle_map.piecewise_linear(((0, 0), (0.25, 0.5), (1, 1)))
     rep = boundary.inverse_kernel_energy(m, EnergyParams(2.0, 0.5, 0.0))
     assert np.isfinite(rep.value) and rep.value > 0
+
+
+# ------------------------------------------------------ object identity
+
+def test_energies_are_the_maps_own_on_reused_ids():
+    # a map freed right after use often hands its id() to the next map
+    # built, so a geometry looked up by id would belong to another map
+    params = EnergyParams(2.0, -0.25, 0.0)
+    pair = dict(diagonal_rings=4, n_outer=32, n_inner=4)
+    inverse = dict(n_outer=16, nodes_per_ring=4, total_rings=8)
+
+    def u(breaks):
+        return boundary.gauge_pair_energy(circle_map.piecewise_linear(breaks),
+                                          params, **pair).value
+
+    def v(breaks):
+        return boundary.inverse_kernel_energy(
+            circle_map.piecewise_linear(breaks), params, **inverse).value
+
+    maps = (PL, PL_KINKED)
+    want = {b: (u(b), v(b)) for b in maps}
+    assert want[PL][0] != want[PL_KINKED][0]
+    assert want[PL][1] != want[PL_KINKED][1]
+    wrong_u = wrong_v = 0
+    for i in range(100):
+        breaks = maps[i % 2]
+        wrong_u += u(breaks) != want[breaks][0]
+        wrong_v += v(breaks) != want[breaks][1]
+    assert (wrong_u, wrong_v) == (0, 0)

@@ -2,10 +2,13 @@
 
 import json
 import math
+from collections import Counter
 
 import pytest
 
+from harmext import boundary
 from harmext.cli import main, region_label
+from harmext.poisson import PoissonExtension
 
 
 # ---------------------------------------------------------- region labels
@@ -126,6 +129,42 @@ def test_sweep_divergent_point(tmp_path):
     entry = payload["grid"][0]
     assert entry["region"] == "divergent"
     assert entry["results"][0]["classification"] == "diverging"
+
+
+def test_sweep_builds_each_stage_once(monkeypatch, tmp_path):
+    # the map-only stages are built once per command and every grid point
+    # is evaluated against them
+    built = Counter()
+
+    def count(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            built[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(boundary.PairGeometry, "build", "pair")
+    count(boundary.InverseGeometry, "build", "inverse")
+    level_samples = PoissonExtension.level_samples
+
+    def counting_level_samples(self, j):
+        if j not in self._samples:
+            built[("level", j)] += 1
+        return level_samples(self, j)
+
+    monkeypatch.setattr(PoissonExtension, "level_samples",
+                        counting_level_samples)
+    out = tmp_path / "sweep.json"
+    code = main(["sweep", "--map", "piecewise_linear:0,0;0.5,0.25;1,1",
+                 "--p", "1.5", "--p", "2", "--p", "3", "--alpha", "0",
+                 "--lambda", "0", "--levels", "6",
+                 "--functionals", "e1,e2,i1,i2,u,v", "--out", str(out)])
+    assert code == 0
+    assert len(json.loads(out.read_text())["grid"]) == 3
+    assert built == Counter({"pair": 1, "inverse": 2,
+                             **{("level", j): 1 for j in range(1, 7)}})
 
 
 # ------------------------------------------------------- other subcommands
