@@ -62,6 +62,19 @@ _SERIES_DECAY = 37.0          # r^n < 1e-16 once n > 37 / (1 - r)
 _MAX_COEFF_LEN = 1 << 22
 
 
+def _tail_estimate(a_J: float, J: int, alpha: float, mu: float) -> float:
+    """The levels past J: a_J sum_{k>=1} ((J+k)/J)^mu r^k, r = 2^-(1+alpha).
+
+    The level sums of I1 decay like j^lam 2^(-j(1+alpha)) (the weight
+    log^lam(2/delta) is about (j ln 2)^lam on level j), those of I2 like
+    2^(-j(1+alpha)); mu is lam for I1 and 0 for I2.  The series is cut
+    where r^k has fallen below 2^-100.
+    """
+    k = np.arange(1, math.ceil(100.0 / (1.0 + alpha)) + 1)
+    return float(a_J * np.sum(((J + k) / J) ** mu
+                              * 2.0 ** (-(1.0 + alpha) * k)))
+
+
 @dataclass
 class PoissonExtension:
     boundary: CircleMap
@@ -269,12 +282,10 @@ class PoissonExtension:
                            value=float(np.sum(per_level)))
         rep.notes["map"] = self.boundary.description
         rep = finalize(rep, window=window)
-        if rep.classification == "converged":
-            tail = rep.per_level[-1]
-            prev = rep.per_level[-2] if len(rep.per_level) > 1 else 0.0
-            if prev > 0 and tail < prev:
-                q = tail / prev
-                rep.notes["tail_estimate"] = float(tail * q / (1 - q))
+        if rep.classification == "converged" and alpha > -1.0:
+            mu = lam if functional == "kernel_weight" else 0.0
+            rep.notes["tail_estimate"] = _tail_estimate(
+                rep.per_level[-1], max_level, alpha, mu)
         return rep
 
     def kernel_weight_integral(self, params: EnergyParams, max_level: int,

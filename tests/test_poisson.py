@@ -136,6 +136,20 @@ def test_kernel_gauge_identity_log_anchor(ext_identity):
     assert rep.value == pytest.approx(expected, rel=1e-3)
 
 
+def test_tail_estimate_follows_the_log_weight(ext_identity):
+    # i1's level sums decay like j^lam 2^(-j(1+alpha)); at lam = 2 a pure
+    # geometric tail (ratio of the last two levels) reads about 5% high on
+    # the total.  The 16-level partial sum, completed by the same model,
+    # is 131.91.
+    params = EnergyParams(2.0, -0.5, 2.0)
+    rep12 = ext_identity.kernel_weight_integral(params, 12)
+    rep16 = ext_identity.kernel_weight_integral(params, 16)
+    deep = rep16.value + rep16.notes["tail_estimate"]
+    assert deep == pytest.approx(131.91, rel=1e-3)
+    assert rep12.value + rep12.notes["tail_estimate"] == pytest.approx(
+        deep, rel=5e-3)
+
+
 def test_integral_reports_are_cached_consistently(ext_pl):
     a = ext_pl.kernel_weight_integral(EnergyParams(2.0, 0.0, 0.0), 8)
     b = ext_pl.kernel_weight_integral(EnergyParams(2.0, 0.0, 0.0), 8)
