@@ -46,8 +46,8 @@ from .weights import WeightSpec, estimate_ap_constant, jones_factors, weight
 MAX_SAMPLED_LEVELS = 14
 
 # Every command computes in two stages.  A stage holds the map-only data
-# of some functionals and is built once per command: stage name ->
-# build(circle_map, levels).
+# of some functionals and is built at most once per command, when a
+# functional first needs it: stage name -> build(circle_map, levels).
 STAGES = {
     "map": lambda m, levels: m,
     "poisson": lambda m, levels: PoissonExtension(m),
@@ -74,6 +74,7 @@ FUNCTIONALS = {
     "v": ("inverse", lambda geoms, params, levels:
           boundary.evaluate_inverse_kernel(geoms, params)),
 }
+
 
 def region_label(p: float, alpha: float, lam: float) -> str:
     """Predicted behaviour of the weighted integrals for a homeomorphism.
@@ -111,6 +112,7 @@ def _emit(args, payload: dict, rows: list):
 
 
 def _wanted_functionals(args) -> list:
+    """The requested functional keys, checked once per command."""
     wanted = [f.strip() for f in args.functionals.split(",") if f.strip()]
     bad = [f for f in wanted if f not in FUNCTIONALS]
     if bad:
@@ -119,23 +121,22 @@ def _wanted_functionals(args) -> list:
     return wanted
 
 
-def _build_stages(circle_map, wanted: list, levels: int) -> dict:
-    """The stages the wanted functionals need, each built once."""
-    stages = {}
-    for f in wanted:
-        name = FUNCTIONALS[f][0]
-        if name not in stages:
-            stages[name] = STAGES[name](circle_map, levels)
-    return stages
+def _compute_reports(circle_map, stages: dict, wanted: list,
+                     params: EnergyParams, levels: int) -> list:
+    """The wanted functionals at one parameter point.
 
-
-def _compute_reports(stages: dict, wanted: list, params: EnergyParams,
-                     levels: int) -> list:
+    ``stages`` is shared by every point of a command; a stage is built when
+    a functional first needs it, so the map-only work of the first point
+    happens in the same order as in a single ``energy`` run.
+    """
     reports = []
     for f in wanted:
-        stage, evaluate = FUNCTIONALS[f]
-        reports.append(evaluate(stages[stage], params, levels))
+        name, evaluate = FUNCTIONALS[f]
+        if name not in stages:
+            stages[name] = STAGES[name](circle_map, levels)
+        reports.append(evaluate(stages[name], params, levels))
     return reports
+
 
 def _ratio_summary(reports, p: float) -> dict:
     """Ratios of every computed functional against the dyadic length energy.
@@ -162,9 +163,8 @@ def _ratio_summary(reports, p: float) -> dict:
 def cmd_energy(args) -> int:
     circle_map = from_description(args.map)
     params = EnergyParams(args.p[0], args.alpha[0], args.lam[0])
-    wanted = _wanted_functionals(args)
-    stages = _build_stages(circle_map, wanted, args.levels)
-    reports = _compute_reports(stages, wanted, params, args.levels)
+    reports = _compute_reports(circle_map, {}, _wanted_functionals(args),
+                               params, args.levels)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "energy",
@@ -181,15 +181,15 @@ def cmd_energy(args) -> int:
 def cmd_sweep(args) -> int:
     circle_map = from_description(args.map)
     wanted = _wanted_functionals(args)
-    stages = _build_stages(circle_map, wanted, args.levels)
+    stages = {}
     entries = []
     rows = []
     for p in args.p:
         for alpha in args.alpha:
             for lam in args.lam:
                 params = EnergyParams(p, alpha, lam)
-                reports = _compute_reports(stages, wanted, params,
-                                           args.levels)
+                reports = _compute_reports(circle_map, stages, wanted,
+                                           params, args.levels)
                 entry = {
                     "p": p, "alpha": alpha, "lambda": lam,
                     "region": region_label(p, alpha, lam),
