@@ -1,4 +1,4 @@
-"""Golden CLI outputs: the exact bytes of `energy` and `sweep` runs.
+"""Golden CLI outputs: the exact bytes of `energy`, `sweep`, `examples`.
 
 Each case is a `harmext-lab` command line whose output is stored under
 `tests/golden/`.  A refactor that must not change results keeps these
@@ -48,6 +48,8 @@ CASES = {
     "energy_identity_tail.json": [
         "energy", "--map", "identity", "--functionals", "i1,i2",
         "--levels", "12", "--p", "2", "--alpha", "-0.5", "--lambda", "2"],
+    # the three staircase studies: cantor block sums and a 20-level e1
+    "examples_default.json": ["examples"],
 }
 
 
