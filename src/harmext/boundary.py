@@ -82,11 +82,10 @@ def kernel_antiderivative(params: EnergyParams, t: float) -> float:
 
 
 @lru_cache(maxsize=32)
-def _kernel_table(p: float, alpha: float, lam: float,
-                  t_min: float = 1e-16, n: int = 3000):
-    """Log-spaced interpolation table for A on [t_min, 2]."""
+def _kernel_table(p: float, alpha: float, lam: float):
+    """Interpolation table for A: 3000 log-spaced t in [1e-16, 2], and 1."""
     params = EnergyParams(p, alpha, lam)
-    ts = np.geomspace(t_min, 2.0, n)
+    ts = np.geomspace(1e-16, 2.0, 3000)
     ts = np.unique(np.append(ts, 1.0))
     vals = np.array([kernel_antiderivative(params, float(t)) for t in ts])
     return ts, vals
@@ -129,13 +128,15 @@ class PairGeometry:
     n_outer: int
     n_inner: int
     rings: list            # ring index j
-    chords: list           # |xi - eta| per node, flattened per ring
-    image_chords: list     # |phi xi - phi eta| per node
+    chords: list           # |xi - eta| per inner offset: (2 n_inner,) a ring
+    image_chords: list     # |phi xi - phi eta|: (n_out, 2 n_inner) a ring
     weights: list          # product measure per node, one scalar per ring
 
     @classmethod
     def build(cls, circle_map: CircleMap, n_outer: int = 256,
               n_inner: int = 32, diagonal_rings: int = 12) -> "PairGeometry":
+        if diagonal_rings < 1:
+            raise DomainError("diagonal_rings must be >= 1")
         rings, chords, imchords, weights = [], [], [], []
         for j in range(1, diagonal_rings + 1):
             # the integrand varies at the offset scale 2^-j, so the outer
@@ -155,8 +156,8 @@ class PairGeometry:
             du = np.abs(uy - ux[:, None])
             du = np.minimum(du, 1.0 - du)
             rings.append(j)
-            chords.append(_chord(np.broadcast_to(d_source, y.shape)).ravel())
-            imchords.append(_chord(du).ravel())
+            chords.append(_chord(d_source))
+            imchords.append(_chord(du))
             weights.append(w)
         return cls(description=circle_map.description, n_outer=n_outer,
                    n_inner=n_inner, rings=rings, chords=chords,
@@ -167,23 +168,22 @@ class PairGeometry:
 
 def gauge_pair_energy(circle_map: CircleMap, params: EnergyParams,
                       diagonal_rings: int = 12, n_outer: int = 256,
-                      n_inner: int = 32, window: int = 3) -> EnergyReport:
+                      n_inner: int = 32) -> EnergyReport:
     """The Orlicz-gauge pair energy over the circle, by diagonal rings."""
     geom = PairGeometry.build(circle_map, n_outer, n_inner, diagonal_rings)
-    return evaluate_gauge_pair(geom, params, window)
+    return evaluate_gauge_pair(geom, params)
 
 
-def evaluate_gauge_pair(geom: PairGeometry, params: EnergyParams,
-                        window: int = 3) -> EnergyReport:
+def evaluate_gauge_pair(geom: PairGeometry,
+                        params: EnergyParams) -> EnergyReport:
     """U at one parameter point from a built pair geometry."""
     spec = OrliczSpec(p=params.p, lam=params.lam)
     scale = (2.0 * math.pi) ** 2
     per_ring = []
     for chords, imchords, w in zip(geom.chords, geom.image_chords,
                                    geom.weights):
-        ratio = np.zeros_like(chords)
-        np.divide(imchords, chords, out=ratio, where=chords > 0)
-        integrand = phi(spec, ratio) * chords ** params.alpha
+        # source offsets are >= 2^-(j+1), so no chord is 0
+        integrand = phi(spec, imchords / chords) * chords ** params.alpha
         per_ring.append(scale * float(np.sum(integrand * w)))
     rep = EnergyReport(functional="gauge_pair", params=params,
                        levels=geom.rings, per_level=np.asarray(per_ring),
@@ -191,7 +191,7 @@ def evaluate_gauge_pair(geom: PairGeometry, params: EnergyParams,
     rep.notes["map"] = geom.description
     rep.notes["n_outer"] = geom.n_outer
     rep.notes["n_inner"] = geom.n_inner
-    return finalize(rep, window=window)
+    return finalize(rep, window=3)
 
 
 # -------------------------------------------------------------------- V

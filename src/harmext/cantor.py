@@ -272,31 +272,26 @@ class StaircaseLift:
             counts[k] = counts.get(k, 0) + 1
         cell_width = math.ldexp(1.0, -j)       # 0.0 below the float range
         rise = math.ldexp(1.0, -m)
-        deltas = np.array([0.5 * (c * rise + cell_width)
-                           for c in sorted_counts_values(counts)])
+        deltas = np.array([0.5 * (counts[k] * rise + cell_width)
+                           for k in sorted(counts)])
         plateau_count = (1 << j) - len(counts)
         return deltas, plateau_count
-
-
-def sorted_counts_values(counts: dict):
-    return [counts[k] for k in sorted(counts)]
 
 
 # ------------------------------------------------------------ public API
 
 def make_staircase_map(kind: str, parameter: float, depth: int) -> CircleMap:
-    """Circle map with staircase boundary lift, normalized so that the
-    point at angle 1/2 turn is fixed (the plateau through 1/2 has value
-    1/2, so the rotation offset vanishes identically)."""
+    """Circle map with staircase boundary lift and no rotation offset.
+
+    The point at angle 1/2 turn is fixed: the step-1 plateau contains 1/2
+    and has value 1/2, so the lift g = (f + id)/2 takes the value 1/2 there.
+    """
     schedule = build_schedule(kind, parameter, depth)
     tree = build_tree(schedule)
     lift = StaircaseLift(tree)
-    g_half = float(lift(np.array(0.5)))
-    rho = 0.5 - g_half     # 0 by construction; kept for clarity
     name = "cantor_log" if kind == "power" else "cantor_loglog"
     key = "s" if kind == "power" else "p"
-    return CircleMap(lift=lift, rotation=rho,
-                     eval_tolerance=lift.eval_error_bound * 2,
+    return CircleMap(lift=lift, eval_tolerance=lift.eval_error_bound * 2,
                      description=f"{name}:{key}={parameter:g},depth={depth}")
 
 

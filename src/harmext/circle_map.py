@@ -14,18 +14,20 @@ right inverse even for degenerate maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InversionError, ResourceBudgetError
+from .errors import DomainError, LabError
 
 # Hard cap on the number of dyadic cells enumerated explicitly at one level.
 MAX_LEVEL_CELLS = 2 ** 22
 
 _MONOTONE_CHECK_POINTS = 4097
 _MONOTONE_SLACK = 1e-12
+_MAX_BISECTIONS = 200
 
 
 @dataclass
@@ -62,7 +64,6 @@ class CircleMap:
     rotation: float = 0.0
     eval_tolerance: float = 1e-10
     description: str = "custom"
-    _checked: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         u = self.lift_eval(np.array([0.0, 1.0]))
@@ -73,7 +74,6 @@ class CircleMap:
         vals = self.lift_eval(grid)
         if np.any(np.diff(vals) < -_MONOTONE_SLACK):
             raise DomainError("lift is not nondecreasing")
-        self._checked = True
 
     # ---------------------------------------------------------------- eval
 
@@ -93,13 +93,9 @@ class CircleMap:
         out = np.mod(self.lift_eval(frac) + self.rotation, 1.0)
         return float(out) if scalar else out
 
-    def point(self, t):
-        """Image as a point of the unit circle in the complex plane."""
-        return np.exp(2j * np.pi * self.eval(t))
-
     # -------------------------------------------------------------- invert
 
-    def invert(self, y, tol: float | None = None, max_iter: int = 200):
+    def invert(self, y, tol: float | None = None):
         """Monotone inverse of ``eval`` with plateau-midpoint convention.
 
         Returns t in [0,1) with eval(t) = y (mod 1).  If y falls on a
@@ -110,22 +106,22 @@ class CircleMap:
         arr, scalar = _as_array(y)
         target = np.mod(arr - self.rotation, 1.0)
 
-        left = self._bisect_smallest(target, tol, max_iter)
-        right = self._bisect_smallest(target, tol, max_iter, strict=True)
+        left = self._bisect_smallest(target, tol)
+        right = self._bisect_smallest(target, tol, strict=True)
         mid = 0.5 * (left + right)
         resid = np.abs(self.lift_eval(np.clip(mid, 0.0, 1.0)) - target)
         # residual may legitimately be ~plateau tolerance; a large residual
         # means the lift jumped (not a homeomorphism limit) -> refuse.
         if np.any(resid > np.sqrt(tol) + 10 * self.eval_tolerance + 1e-6):
-            raise InversionError("bisection could not match the target value")
+            raise LabError("bisection could not match the target value")
         out = np.mod(mid, 1.0)
         return float(out) if scalar else out
 
-    def _bisect_smallest(self, target, tol, max_iter, strict=False):
+    def _bisect_smallest(self, target, tol, strict=False):
         """Smallest x with u(x) >= target (or > target when strict)."""
         lo = np.zeros_like(target)
         hi = np.ones_like(target)
-        n_iter = min(max_iter, int(np.ceil(-np.log2(tol))) + 2)
+        n_iter = min(_MAX_BISECTIONS, int(np.ceil(-np.log2(tol))) + 2)
         for _ in range(n_iter):
             mid = 0.5 * (lo + hi)
             vals = self.lift_eval(mid)
@@ -168,7 +164,7 @@ class CircleMap:
                                    deltas=np.asarray(special, dtype=float),
                                    plateau_count=plateau_count)
         if 2 ** j > MAX_LEVEL_CELLS:
-            raise ResourceBudgetError(
+            raise LabError(
                 f"level {j} needs 2^{j} cells > budget {MAX_LEVEL_CELLS}")
         grid = np.linspace(0.0, 1.0, 2 ** j + 1)
         vals = self.lift_eval(grid)
@@ -200,8 +196,7 @@ def rotation_map(rho: float) -> CircleMap:
                      description=f"rotation:{rho}")
 
 
-def piecewise_linear(breakpoints: Sequence[tuple[float, float]],
-                     rotation: float = 0.0) -> CircleMap:
+def piecewise_linear(breakpoints: Sequence[tuple[float, float]]) -> CircleMap:
     """Circle map whose lift linearly interpolates (x_i, y_i) breakpoints.
 
     The breakpoints must start at (0,0), end at (1,1), have strictly
@@ -221,14 +216,24 @@ def piecewise_linear(breakpoints: Sequence[tuple[float, float]],
     if np.any(np.diff(ys) < 0):
         raise DomainError("breakpoint y values must be nondecreasing")
     desc = "piecewise_linear:" + ";".join(f"{x:g},{y:g}" for x, y in pts)
-    return CircleMap(lift=_PiecewiseLinearLift(xs, ys),
-                     rotation=float(rotation), description=desc)
+    return CircleMap(lift=_PiecewiseLinearLift(xs, ys), description=desc)
+
+
+def _number(text: str, message: str) -> float:
+    """``float(text)``, or DomainError(message) unless it is finite."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise DomainError(message) from exc
+    if not math.isfinite(value):
+        raise DomainError(f"{message}: {text!r} is not finite")
+    return value
 
 
 def from_description(text: str) -> CircleMap:
     """Build a map from its textual description.
 
-    Grammar (one line, no spaces):
+    Grammar (one line, no spaces; every number finite):
         identity
         rotation:<rho>
         piecewise_linear:<x0>,<y0>;<x1>,<y1>;...
@@ -239,11 +244,8 @@ def from_description(text: str) -> CircleMap:
     if text == "identity":
         return identity()
     if text.startswith("rotation:"):
-        try:
-            rho = float(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise DomainError(f"bad rotation amount in {text!r}") from exc
-        return rotation_map(rho)
+        return rotation_map(_number(text.split(":", 1)[1],
+                                    f"bad rotation amount in {text!r}"))
     if text.startswith("piecewise_linear:"):
         body = text.split(":", 1)[1]
         pts = []
@@ -251,10 +253,8 @@ def from_description(text: str) -> CircleMap:
             parts = chunk.split(",")
             if len(parts) != 2:
                 raise DomainError(f"bad breakpoint {chunk!r} in {text!r}")
-            try:
-                pts.append((float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise DomainError(f"bad breakpoint {chunk!r}") from exc
+            pts.append(tuple(_number(x, f"bad breakpoint {chunk!r}")
+                             for x in parts))
         return piecewise_linear(pts)
     if text.startswith(("cantor_log:", "cantor_loglog:")):
         kind, body = text.split(":", 1)
@@ -270,17 +270,11 @@ def from_description(text: str) -> CircleMap:
         except (KeyError, ValueError) as exc:
             raise DomainError(f"{kind} needs integer depth=<N>") from exc
         if kind == "cantor_log":
-            try:
-                s = float(kv.pop("s"))
-            except (KeyError, ValueError) as exc:
-                raise DomainError("cantor_log needs s=<float>") from exc
+            s = _number(kv.pop("s", ""), "cantor_log needs s=<float>")
             if kv:
                 raise DomainError(f"unknown keys {sorted(kv)} for cantor_log")
             return cantor.make_staircase_map("power", s, depth)
-        try:
-            p = float(kv.pop("p"))
-        except (KeyError, ValueError) as exc:
-            raise DomainError("cantor_loglog needs p=<float>") from exc
+        p = _number(kv.pop("p", ""), "cantor_loglog needs p=<float>")
         if kv:
             raise DomainError(f"unknown keys {sorted(kv)} for cantor_loglog")
         return cantor.make_staircase_map("double_exp", p, depth)

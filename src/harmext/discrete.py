@@ -16,7 +16,8 @@ with a windowed tail classification.
 Staircase maps expose grouped increments (an exact count of background
 cells plus a short list of active cells); for those the per-term weights
 are combined in log space so levels far beyond float range (j in the
-thousands) stay finite and accurate.
+thousands) stay finite and accurate.  A level sum and the total over
+levels 1..J are taken with math.fsum, correctly rounded at every size.
 """
 
 from __future__ import annotations
@@ -31,13 +32,6 @@ from .report import EnergyParams, EnergyReport, finalize
 
 _LOG_2PI = math.log(2 * math.pi)
 _LN2 = math.log(2.0)
-
-
-def _stable_sum(values: np.ndarray) -> float:
-    """Compensated reduction: exact for modest sizes, pairwise beyond."""
-    if values.size <= 1 << 16:
-        return math.fsum(values.tolist())
-    return float(np.sum(values))
 
 
 def _exp_safe(logv: float) -> float:
@@ -82,7 +76,7 @@ def _level_sum(inc: LevelIncrements, params: EnergyParams,
                 big, log_ratios,
                 np.log(math.e + np.exp(np.minimum(log_ratios, 700.0))))
             logs = p * log_ratios + lam * np.log(log_e_plus) + log_weight
-        total += _stable_sum(np.exp(np.clip(logs, -745.0, 709.0)))
+        total += math.fsum(np.exp(np.clip(logs, -745.0, 709.0)).tolist())
     if inc.plateau_count:
         log_delta = inc.background_log2_delta * _LN2
         if functional == "length_power":
@@ -95,7 +89,7 @@ def _level_sum(inc: LevelIncrements, params: EnergyParams,
 
 
 def _energy(circle_map: CircleMap, params: EnergyParams, max_level: int,
-            functional: str, window: int) -> EnergyReport:
+            functional: str) -> EnergyReport:
     if max_level < 1:
         raise DomainError("max_level must be >= 1")
     levels = list(range(1, max_level + 1))
@@ -103,21 +97,22 @@ def _energy(circle_map: CircleMap, params: EnergyParams, max_level: int,
         _level_sum(circle_map.level_increments(j), params, functional)
         for j in levels])
     rep = EnergyReport(functional=functional, params=params, levels=levels,
-                       per_level=per_level, value=_stable_sum(per_level))
+                       per_level=per_level,
+                       value=math.fsum(per_level.tolist()))
     rep.notes["map"] = circle_map.description
-    return finalize(rep, window=window)
+    return finalize(rep)
 
 
 def length_power_energy(circle_map: CircleMap, params: EnergyParams,
-                        max_level: int, window: int = 4) -> EnergyReport:
+                        max_level: int) -> EnergyReport:
     """Truncated sum over levels 1..max_level of the p-power arc energy."""
-    return _energy(circle_map, params, max_level, "length_power", window)
+    return _energy(circle_map, params, max_level, "length_power")
 
 
 def gauge_ratio_energy(circle_map: CircleMap, params: EnergyParams,
-                       max_level: int, window: int = 4) -> EnergyReport:
+                       max_level: int) -> EnergyReport:
     """Truncated sum over levels of the Orlicz-gauge distortion energy."""
-    return _energy(circle_map, params, max_level, "gauge_ratio", window)
+    return _energy(circle_map, params, max_level, "gauge_ratio")
 
 
 def level_sums_for_range(circle_map: CircleMap, params: EnergyParams,

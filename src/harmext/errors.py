@@ -7,19 +7,15 @@ problem" from genuine bugs.
 
 
 class LabError(Exception):
-    """Base class for all deliberate failures raised by this package."""
+    """Base class for all deliberate failures raised by this package.
+
+    Raised as itself where no caller tells the failure apart: a bisection
+    that cannot match its target, a level past the cell budget.
+    """
 
 
 class DomainError(LabError, ValueError):
     """An argument fell outside the mathematical domain of an operation."""
-
-
-class InversionError(LabError):
-    """Bisection inversion failed to bracket the requested value."""
-
-
-class ResourceBudgetError(LabError):
-    """A computation would exceed the configured cell / node budget."""
 
 
 class DepthBudgetError(LabError):
@@ -44,7 +40,3 @@ class QuadratureOverflowError(LabError):
 
 class PrecisionError(LabError):
     """Node doubling hit its cap before reaching the requested tolerance."""
-
-
-class ConfigError(LabError):
-    """Bad CLI / config input."""

@@ -198,6 +198,10 @@ class PropertyReport:
     grid_size: int
 
 
+# relative tolerance of the second-difference convexity check
+_SECOND_DIFF_TOL = 1e-9
+
+
 def _default_grid(t_max: float, n: int) -> np.ndarray:
     lin = np.linspace(0.0, t_max, n // 2)
     geo = np.geomspace(1e-8, t_max, n - n // 2)
@@ -205,8 +209,8 @@ def _default_grid(t_max: float, n: int) -> np.ndarray:
 
 
 def verify_properties(spec: OrliczSpec, use_psi: bool = False,
-                      t_max: float = 1e6, grid_points: int = 4000,
-                      second_diff_tol: float = 1e-9) -> PropertyReport:
+                      t_max: float = 1e6,
+                      grid_points: int = 4000) -> PropertyReport:
     """Check monotonicity, convexity (second differences), the doubling
     bound, the quasi-power bounds, and global Psi ~ Phi comparability on a
     sample grid."""
@@ -223,7 +227,7 @@ def verify_properties(spec: OrliczSpec, use_psi: bool = False,
         fv = f(u)
         d2 = fv[2:] - 2 * fv[1:-1] + fv[:-2]
         scale = np.maximum(np.abs(fv[1:-1]), 1.0)
-        convex += int(np.sum(d2 < -second_diff_tol * scale - 1e-12))
+        convex += int(np.sum(d2 < -_SECOND_DIFF_TOL * scale - 1e-12))
 
     pos = grid[grid > 1e-8]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -27,7 +27,17 @@ The weighted Dirichlet-type integrals
     kernel_gauge_integral  ("I2"): int Phi_{p,lam}(|Dh|) delta^alpha
 
 are accumulated cell-by-cell over the dyadic decomposition up to level J,
-with 4x4 Gauss nodes per cell.  For the bulk sampling the harmonic series
+with 4x4 Gauss nodes per cell.  Level j splits the circle into 2^j arcs of
+angle 2 pi 2^-j and pairs the k-th arc with the polar rectangle
+
+    Q_{j,k} = { r e^{i theta} : 1 - 2^(1-j) <= r <= 1 - 2^-j,
+                                 theta in the k-th arc },
+
+so the cells of levels 1..J tile the disk minus a boundary annulus of
+width 2^-J (the level-1 cells reach down to r = 0).  ``level_samples(j)``
+computes the level's annulus from these two radii.
+
+For the bulk sampling the harmonic series
 h_z = sum k c_k z^(k-1), h_zbar = sum k c_{-k} zbar^(k-1) (c_k the FFT
 coefficients of the boundary samples) is evaluated on radial slices by
 index folding -- exactly the trapezoid kernel quadrature, resummed, which
@@ -47,7 +57,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle_map import CircleMap
-from .dyadic import cell
 from .errors import DomainError, PrecisionError
 from .orlicz import OrliczSpec, phi
 from .report import EnergyParams, EnergyReport, finalize
@@ -57,6 +66,7 @@ _GAUSS4_X, _GAUSS4_W = np.polynomial.legendre.leggauss(4)
 _G4X = 0.5 * (_GAUSS4_X + 1.0)
 _G4W = 0.5 * _GAUSS4_W
 
+_KERNEL_NODES = 2048          # first trapezoid grid of point evaluation
 _MAX_POINT_NODES = 1 << 21
 _SERIES_DECAY = 37.0          # r^n < 1e-16 once n > 37 / (1 - r)
 _MAX_COEFF_LEN = 1 << 22
@@ -78,7 +88,6 @@ def _tail_estimate(a_J: float, J: int, alpha: float, mu: float) -> float:
 @dataclass
 class PoissonExtension:
     boundary: CircleMap
-    kernel_nodes: int = 2048
     derivative_mode: str = "analytic_kernel"
     _coeffs: np.ndarray | None = field(default=None, repr=False)
     _samples: dict = field(default_factory=dict, repr=False)
@@ -88,8 +97,6 @@ class PoissonExtension:
                                         "finite_difference"):
             raise DomainError(
                 f"unknown derivative mode {self.derivative_mode!r}")
-        if self.kernel_nodes < 16:
-            raise DomainError("kernel_nodes must be >= 16")
 
     # ----------------------------------------------------------- boundary
 
@@ -112,7 +119,7 @@ class PoissonExtension:
         """
         zmax = float(np.max(np.abs(z))) if z.size else 0.0
         tol = 1e-9 / max(1.0 - zmax, 1e-9)
-        n = self.kernel_nodes
+        n = _KERNEL_NODES
         prev = None
         while n <= _MAX_POINT_NODES:
             pos = np.exp(2j * np.pi * np.arange(n) / n)
@@ -241,9 +248,10 @@ class PoissonExtension:
         """
         if j in self._samples:
             return self._samples[j]
-        c = cell(j, 1)
-        r_nodes = c.r_min + _G4X * c.radial_width
-        wr = _G4W * c.radial_width
+        r_min = max(0.0, 1.0 - 2.0 ** (1 - j))
+        width = 1.0 - 2.0 ** -j - r_min
+        r_nodes = r_min + _G4X * width
+        wr = _G4W * width
         ang_w = _G4W * (2 * math.pi * 2.0 ** -j)
         n_cells = 1 << j
         dh = np.empty((4, 4, n_cells))
@@ -257,7 +265,7 @@ class PoissonExtension:
     # ------------------------------------------------------ the integrals
 
     def _integral(self, params: EnergyParams, max_level: int,
-                  functional: str, window: int) -> EnergyReport:
+                  functional: str) -> EnergyReport:
         if max_level < 1:
             raise DomainError("max_level must be >= 1")
         p, alpha, lam = params.p, params.alpha, params.lam
@@ -281,19 +289,19 @@ class PoissonExtension:
                            per_level=np.asarray(per_level),
                            value=float(np.sum(per_level)))
         rep.notes["map"] = self.boundary.description
-        rep = finalize(rep, window=window)
+        rep = finalize(rep)
         if rep.classification == "converged" and alpha > -1.0:
             mu = lam if functional == "kernel_weight" else 0.0
             rep.notes["tail_estimate"] = _tail_estimate(
                 rep.per_level[-1], max_level, alpha, mu)
         return rep
 
-    def kernel_weight_integral(self, params: EnergyParams, max_level: int,
-                               window: int = 4) -> EnergyReport:
+    def kernel_weight_integral(self, params: EnergyParams,
+                               max_level: int) -> EnergyReport:
         """int |Dh|^p delta^alpha log^lam(2/delta) over cells of level <= J."""
-        return self._integral(params, max_level, "kernel_weight", window)
+        return self._integral(params, max_level, "kernel_weight")
 
-    def kernel_gauge_integral(self, params: EnergyParams, max_level: int,
-                              window: int = 4) -> EnergyReport:
+    def kernel_gauge_integral(self, params: EnergyParams,
+                              max_level: int) -> EnergyReport:
         """int Phi_{p,lam}(|Dh|) delta^alpha over cells of level <= J."""
-        return self._integral(params, max_level, "kernel_gauge", window)
+        return self._integral(params, max_level, "kernel_gauge")

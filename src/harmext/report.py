@@ -8,7 +8,6 @@ classification obtained from windowed tail behaviour.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -71,9 +70,6 @@ class EnergyReport:
             "growth_exponent": self.growth_exponent,
             "notes": {k: _jsonable(v) for k, v in self.notes.items()},
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
 
     def to_csv_rows(self) -> list:
         """Rows (functional, j, level_sum, cumulative, classification)."""

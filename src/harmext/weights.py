@@ -31,11 +31,10 @@ _LOG2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """A single weight delta^alpha log^lambda(2/delta), with a role tag."""
+    """A single weight delta^alpha log^lambda(2/delta)."""
 
     alpha: float
     lam: float
-    role: str = "main"
 
 
 def weight(spec: WeightSpec, x):
@@ -81,20 +80,6 @@ def weight_radial(spec: WeightSpec, radii):
     return out.reshape(np.shape(radii))
 
 
-def weight_log_derivative(spec: WeightSpec, delta):
-    """d/d(delta) log w as a function of delta in (0, 1).
-
-    Equals alpha/delta - lam / (delta log(2/delta)); the sign tells whether
-    the weight blows up or degenerates as delta -> 0 below the scale where
-    alpha dominates the log correction.
-    """
-    d = np.asarray(delta, dtype=float)
-    if np.any(d <= 0) or np.any(d >= 2):
-        raise DomainError("delta must lie in (0, 2)")
-    out = spec.alpha / d - spec.lam / (d * np.log(2.0 / d))
-    return float(out) if np.asarray(delta).shape == () else out
-
-
 # ---------------------------------------------------------- factorization
 
 def jones_factors(p: float, alpha: float, lam: float):
@@ -118,8 +103,8 @@ def jones_factors(p: float, alpha: float, lam: float):
         lam1, lam2 = p * lam, lam
     else:
         lam1, lam2 = -lam, 2 * lam / (1 - p)
-    w1 = WeightSpec(alpha=-a1, lam=lam1, role="factor_numerator")
-    w2 = WeightSpec(alpha=-a2, lam=lam2, role="factor_denominator")
+    w1 = WeightSpec(alpha=-a1, lam=lam1)
+    w2 = WeightSpec(alpha=-a2, lam=lam2)
     return w1, w2
 
 
@@ -228,6 +213,8 @@ def estimate_ap_constant(spec: WeightSpec, p: float, trials: int = 200,
     """
     if p <= 1:
         raise DomainError(f"need p > 1, got {p}")
+    if trials < 1:
+        raise DomainError(f"need trials >= 1, got {trials}")
     rng = np.random.default_rng(rng_seed)
     best = -np.inf
     best_c, best_r = 0j, 0.0

@@ -84,6 +84,22 @@ def test_malformed_map_is_config_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("desc", [
+    "rotation:nan", "rotation:inf", "piecewise_linear:0,0;0.5,nan;1,1",
+    "cantor_log:s=nan,depth=5", "cantor_loglog:p=nan,depth=3"])
+def test_non_finite_map_numbers_are_rejected(desc, capsys):
+    code = main(["energy", "--map", desc, "--functionals", "e1"])
+    assert code == 1
+    assert "is not finite" in capsys.readouterr().err
+
+
+def test_pair_energy_rejects_zero_levels(capsys):
+    # u with no rings used to report 0.0, unlike e1 and i1
+    code = main(["energy", "--functionals", "u", "--levels", "0"])
+    assert code == 1
+    assert "diagonal_rings must be >= 1" in capsys.readouterr().err
+
+
 def test_config_file_supplies_defaults(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"map": "identity", "p": 2.0, "alpha": 0.5,
@@ -188,6 +204,13 @@ def test_weights_check(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["factorization_max_rel_error"] < 1e-9
     assert payload["ap_estimate"] >= 1.0 - 1e-9
+
+
+def test_weights_check_rejects_zero_trials(capsys):
+    # an estimate over no disks has no value (it printed -Infinity)
+    code = main(["weights-check", "--trials", "0"])
+    assert code == 1
+    assert "trials >= 1" in capsys.readouterr().err
 
 
 def test_orlicz_check(tmp_path):

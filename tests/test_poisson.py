@@ -100,6 +100,20 @@ def test_slice_samples_match_pointwise(ext_pl):
                                                              rel=2e-6)
 
 
+def test_level_samples_fill_the_level_annulus(ext_pl):
+    # level j's cells span 1 - 2^(1-j) <= r <= 1 - 2^-j, and level 1
+    # reaches down to the centre
+    annuli = {1: (0.0, 0.5), 2: (0.5, 0.75), 3: (0.75, 0.875),
+              4: (0.875, 0.9375)}
+    for j, (r_min, r_max) in annuli.items():
+        dh, r_nodes, wr, ang_w = ext_pl.level_samples(j)
+        assert dh.shape == (4, 4, 2 ** j)
+        assert np.all((r_nodes > r_min) & (r_nodes < r_max))
+        assert math.fsum(wr) == pytest.approx(r_max - r_min, rel=1e-14)
+        assert math.fsum(ang_w) == pytest.approx(2 * math.pi / 2 ** j,
+                                                 rel=1e-14)
+
+
 def test_level_samples_cached(ext_pl):
     a = ext_pl.level_samples(4)
     b = ext_pl.level_samples(4)

@@ -35,15 +35,6 @@ def test_weight_limit_values_on_circle():
     assert weights.weight_radial(weights.WeightSpec(0.0, 0.0), 1.0) == 1.0
 
 
-def test_weight_log_derivative_sign():
-    # for alpha < 0 the weight blows up toward the circle once delta is
-    # below the scale where the log correction loses to the power
-    spec = weights.WeightSpec(-0.5, 2.0)
-    assert weights.weight_log_derivative(spec, 1e-6) < 0
-    with pytest.raises(DomainError):
-        weights.weight_log_derivative(spec, 0.0)
-
-
 # ---------------------------------------------------------- factorization
 
 def test_jones_exponents_symmetric_case():
