@@ -17,7 +17,7 @@ Staircase maps expose grouped increments (an exact count of background
 cells plus a short list of active cells); for those the per-term weights
 are combined in log space so levels far beyond float range (j in the
 thousands) stay finite and accurate.  A level sum and the total over
-levels 1..J are taken with math.fsum, correctly rounded at every size.
+levels 1..J are correctly rounded (math.fsum) at every size.
 """
 
 from __future__ import annotations
@@ -32,6 +32,14 @@ from .report import EnergyParams, EnergyReport, finalize
 
 _LOG_2PI = math.log(2 * math.pi)
 _LN2 = math.log(2.0)
+
+
+def _fsum(values: np.ndarray) -> float:
+    """Correctly rounded sum of nonnegative terms; inf past the float range."""
+    try:
+        return math.fsum(values.tolist())
+    except OverflowError:
+        return math.inf
 
 
 def _exp_safe(logv: float) -> float:
@@ -76,7 +84,7 @@ def _level_sum(inc: LevelIncrements, params: EnergyParams,
                 big, log_ratios,
                 np.log(math.e + np.exp(np.minimum(log_ratios, 700.0))))
             logs = p * log_ratios + lam * np.log(log_e_plus) + log_weight
-        total += math.fsum(np.exp(np.clip(logs, -745.0, 709.0)).tolist())
+        total += _fsum(np.exp(np.clip(logs, -745.0, 709.0)))
     if inc.plateau_count:
         log_delta = inc.background_log2_delta * _LN2
         if functional == "length_power":
@@ -97,8 +105,7 @@ def _energy(circle_map: CircleMap, params: EnergyParams, max_level: int,
         _level_sum(circle_map.level_increments(j), params, functional)
         for j in levels])
     rep = EnergyReport(functional=functional, params=params, levels=levels,
-                       per_level=per_level,
-                       value=math.fsum(per_level.tolist()))
+                       per_level=per_level, value=_fsum(per_level))
     rep.notes["map"] = circle_map.description
     return finalize(rep)
 

@@ -90,6 +90,15 @@ def test_block_sums_partition_level_range():
         discrete.block_sums(m, params, [8, 4])
 
 
+def test_level_sum_past_float_range_is_inf():
+    # at alpha = -200 the terms of the deep levels sit at the exp clip
+    # (about 8e307), so those level sums leave the float range
+    rep = discrete.length_power_energy(circle_map.identity(),
+                                       EnergyParams(2.0, -200.0, 0.0), 10)
+    assert np.all(np.isfinite(rep.per_level[:7]))
+    assert np.all(rep.per_level[7:] == math.inf) and rep.value == math.inf
+
+
 def test_functional_name_validation():
     m = circle_map.identity()
     with pytest.raises(DomainError):
