@@ -281,11 +281,9 @@ class StaircaseLift:
 # ------------------------------------------------------------ public API
 
 def make_staircase_map(kind: str, parameter: float, depth: int) -> CircleMap:
-    """Circle map with staircase boundary lift and no rotation offset.
-
-    The point at angle 1/2 turn is fixed: the step-1 plateau contains 1/2
-    and has value 1/2, so the lift g = (f + id)/2 takes the value 1/2 there.
-    """
+    """Circle map with staircase boundary lift and no rotation offset: the
+    point at angle 1/2 turn is fixed, as the step-1 plateau contains 1/2
+    and has value 1/2."""
     schedule = build_schedule(kind, parameter, depth)
     tree = build_tree(schedule)
     lift = StaircaseLift(tree)

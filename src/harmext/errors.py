@@ -7,11 +7,8 @@ problem" from genuine bugs.
 
 
 class LabError(Exception):
-    """Base class for all deliberate failures raised by this package.
-
-    Raised as itself where no caller tells the failure apart: a bisection
-    that cannot match its target, a level past the cell budget.
-    """
+    """Base class for all deliberate failures raised by this package, and
+    the class of those no caller tells apart (inversion, cell budget)."""
 
 
 class DomainError(LabError, ValueError):

@@ -34,8 +34,7 @@ angle 2 pi 2^-j and pairs the k-th arc with the polar rectangle
                                  theta in the k-th arc },
 
 so the cells of levels 1..J tile the disk minus a boundary annulus of
-width 2^-J (the level-1 cells reach down to r = 0).  ``level_samples(j)``
-computes the level's annulus from these two radii.
+width 2^-J (the level-1 cells reach down to r = 0).
 
 For the bulk sampling the harmonic series
 h_z = sum k c_k z^(k-1), h_zbar = sum k c_{-k} zbar^(k-1) (c_k the FFT
