@@ -1,81 +1,67 @@
-"""Tests for the dyadic annular decomposition of the disk."""
+"""Tests for the dyadic annular decomposition of the disk.
+
+Cell (j, k), 1 <= k <= 2^j, is the polar rectangle
+1 - 2^(1-j) <= r <= 1 - 2^-j (r >= 0), 2 pi (k-1)/2^j <= theta <= 2 pi k/2^j.
+PoissonExtension.level_samples samples |Dh| on a Gauss grid of each cell of
+level j; these tests read the cell bounds back from that grid.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from harmext import dyadic
-from harmext.errors import DomainError
+from harmext import circle_map
+from harmext.poisson import _G4X, PoissonExtension
+
+PL = ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0))
 
 
-def test_cell_level_one_is_half_disk():
-    c = dyadic.cell(1, 1)
-    assert c.r_min == 0.0
-    assert c.r_max == 0.5
-    assert c.theta_min == 0.0
-    assert c.theta_max == pytest.approx(math.pi)
+@pytest.fixture(scope="module")
+def ext_pl():
+    return PoissonExtension(circle_map.piecewise_linear(PL))
 
 
-def test_cell_formula_instantiations():
-    c = dyadic.cell(2, 4)
-    assert (c.r_min, c.r_max) == (0.5, 0.75)
-    assert c.theta_min == pytest.approx(3 * math.pi / 2)
-    assert c.theta_max == pytest.approx(2 * math.pi)
-    c = dyadic.cell(3, 1)
-    assert (c.r_min, c.r_max) == (0.75, 0.875)
-    assert c.theta_max == pytest.approx(math.pi / 4)
+def cell(ext, j, k):
+    """(r_min, r_max, theta_min, theta_max) of cell (j, k) as sampled."""
+    _, r_nodes, wr, ang_w = ext.level_samples(j)
+    # the Gauss nodes are symmetric about the middle of the interval
+    r_mid, r_width = float(np.mean(r_nodes)), math.fsum(wr)
+    t_width = math.fsum(ang_w)
+    return (r_mid - r_width / 2, r_mid + r_width / 2,
+            (k - 1) * t_width, k * t_width)
 
 
-def test_cell_index_errors():
-    with pytest.raises(DomainError):
-        dyadic.cell(0, 1)
-    with pytest.raises(DomainError):
-        dyadic.cell(3, 0)
-    with pytest.raises(DomainError):
-        dyadic.cell(3, 9)
+def assert_samples_in_cell(ext, j, k):
+    # the samples stored for cell index k-1 are |Dh| at the Gauss nodes
+    # of the polar rectangle of cell (j, k)
+    r_min, r_max, t_min, t_max = cell(ext, j, k)
+    dh, r_nodes, _, _ = ext.level_samples(j)
+    for ri in (0, 3):
+        assert r_min < r_nodes[ri] < r_max
+        for gi in (0, 3):
+            theta = t_min + _G4X[gi] * (t_max - t_min)
+            direct = ext.derivative_norm(complex(r_nodes[ri]
+                                                 * np.exp(1j * theta)))
+            assert dh[ri, gi, k - 1] == pytest.approx(direct, rel=2e-6)
 
 
-def test_level_tiling_area():
-    # cells with j <= J tile the disk of radius 1 - 2^-J
-    for J in (4, 8, 12):
-        total = sum(dyadic.level_area(j) for j in range(1, J + 1))
-        assert total == pytest.approx(dyadic.covered_area(J), abs=1e-9)
-        assert dyadic.covered_area(J) == pytest.approx(
-            math.pi * (1 - 2.0 ** -J) ** 2, rel=1e-15)
+def test_cell_level_one_is_half_disk(ext_pl):
+    r_min, r_max, t_min, t_max = cell(ext_pl, 1, 1)
+    assert r_min == pytest.approx(0.0, abs=1e-15)
+    assert r_max == pytest.approx(0.5, rel=1e-14)
+    assert t_min == 0.0
+    assert t_max == pytest.approx(math.pi, rel=1e-14)
+    assert_samples_in_cell(ext_pl, 1, 1)
 
 
-def test_level_area_matches_cell_sum():
-    for j in (1, 2, 5):
-        cells = list(dyadic.cells(j))
-        assert len(cells) == 2 ** j
-        assert sum(c.area() for c in cells) == pytest.approx(
-            dyadic.level_area(j), rel=1e-12)
-
-
-def test_inscribed_disk_contained_and_round():
-    rng = np.random.default_rng(7)
-    angles = np.linspace(0.0, 2 * math.pi, 128, endpoint=False)
-    dilations = []
-    for _ in range(300):
-        j = int(rng.integers(1, 13))
-        k = int(rng.integers(1, 2 ** j + 1))
-        c = dyadic.cell(j, k)
-        d = dyadic.inscribed_disk(c)
-        pts = d.center + d.radius * np.exp(1j * angles)
-        assert all(c.contains(complex(z), slack=1e-12) for z in pts)
-        if j >= 2:
-            # radius is comparable to the cell scale 2^-j
-            assert 2.0 ** -(j + 2) <= d.radius <= 2.0 ** -(j + 1)
-        dilations.append(d.dilation)
-        # the dilated disk reaches every corner of the cell
-        reach = max(abs(z - d.center) for z in c.corners())
-        assert d.dilation * d.radius >= reach - 1e-12
-    # uniform roundness: one constant covers every level
-    assert max(dilations) < 8.0
-
-
-def test_level_one_inscribed_disk_valid():
-    d = dyadic.inscribed_disk(dyadic.cell(1, 1))
-    assert d.radius > 0
-    assert abs(d.center - 0.25j) < 1e-12
+def test_cell_formula_instantiations(ext_pl):
+    r_min, r_max, t_min, t_max = cell(ext_pl, 2, 4)
+    assert (r_min, r_max) == pytest.approx((0.5, 0.75), rel=1e-14)
+    assert t_min == pytest.approx(3 * math.pi / 2, rel=1e-14)
+    assert t_max == pytest.approx(2 * math.pi, rel=1e-14)
+    assert_samples_in_cell(ext_pl, 2, 4)
+    r_min, r_max, t_min, t_max = cell(ext_pl, 3, 1)
+    assert (r_min, r_max) == pytest.approx((0.75, 0.875), rel=1e-14)
+    assert t_max == pytest.approx(math.pi / 4, rel=1e-14)
+    assert_samples_in_cell(ext_pl, 3, 1)
