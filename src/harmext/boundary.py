@@ -19,7 +19,11 @@ inverse_kernel_energy ("V"):
   expression involves log_2^lam of a negative number for t > 1 and
   non-integer lam, so the mirror is the convention used throughout).
   For lam <= -1 the y-integral already diverges at its lower endpoint, so
-  A(t) = +inf for every t < 1.
+  A(t) = +inf for every t < 1 and -inf for every t > 1.  Otherwise, with
+  Kummer's function M = 1F1 (DLMF 8.5.1, 13.2.2), both cases are
+
+    A(t) = sgn(1-t) ln 2 |log_2 t|^(lam+1) / (lam+1)
+           * M(lam+1, lam+2, (2+alpha-p) ln t).
 
   The inner integral can be negative (A changes sign at t = 1); the outer
   power uses the positive part, with the number of negative inner values
@@ -31,18 +35,16 @@ from ``inverse_kernel_geometries``), which a caller builds once and
 evaluates at any number of parameter points (``evaluate_gauge_pair``,
 ``evaluate_inverse_kernel``).  ``gauge_pair_energy`` and
 ``inverse_kernel_energy`` do both in one call.  A geometry lives as long
-as its caller holds it; the only cache here is the kernel table, keyed by
-the parameter values.
+as its caller holds it; nothing here is cached across calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import hyp1f1
 
 from .circle_map import CircleMap
 from .errors import DomainError
@@ -54,58 +56,43 @@ _LN2 = math.log(2.0)
 
 # ----------------------------------------------------------------- kernel
 
-def kernel_antiderivative(params: EnergyParams, t: float) -> float:
-    """The kernel A(t) (see module docstring), computed by direct quadrature."""
+def kernel_antiderivative(params: EnergyParams, t):
+    """The kernel A(t) (see module docstring) in closed form.
+
+    Vectorised over t; a scalar t gives a float.
+    """
     p, alpha, lam = params.p, params.alpha, params.lam
-    if t < 0:
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0):
         raise DomainError("kernel argument must be >= 0")
-    if t == 1.0:
-        return 0.0
-    c = 2.0 + alpha - p
-    if t < 1.0 or t == 0.0:
-        if lam <= -1.0:
-            return math.inf
-        if t == 0.0:
-            if c <= 0.0:
-                return math.inf
-            # int_0^inf y^lam 2^(-c y) dy = Gamma(lam+1) / (c ln 2)^(lam+1)
-            return _LN2 * math.gamma(lam + 1.0) / (c * _LN2) ** (lam + 1.0)
-        Y = math.log2(1.0 / t)
-        val, _ = quad(lambda y: y ** lam * 2.0 ** (-c * y), 0.0, Y,
-                      limit=200)
-        return _LN2 * val
     if lam <= -1.0:
-        return -math.inf
-    Y = math.log2(t)
-    val, _ = quad(lambda y: y ** lam * 2.0 ** (c * y), 0.0, Y, limit=200)
-    return -_LN2 * val
-
-
-@lru_cache(maxsize=32)
-def _kernel_table(p: float, alpha: float, lam: float):
-    """Interpolation table for A: 3000 log-spaced t in [1e-16, 2], and 1."""
-    params = EnergyParams(p, alpha, lam)
-    ts = np.geomspace(1e-16, 2.0, 3000)
-    ts = np.unique(np.append(ts, 1.0))
-    vals = np.array([kernel_antiderivative(params, float(t)) for t in ts])
-    return ts, vals
+        out = np.where(t_arr < 1.0, math.inf,
+                       np.where(t_arr > 1.0, -math.inf, 0.0))
+    else:
+        c = 2.0 + alpha - p
+        at_zero = t_arr == 0.0
+        ln_t = np.log(np.where(at_zero, 1.0, t_arr))
+        out = (np.sign(1.0 - t_arr) * _LN2 * np.abs(ln_t / _LN2) ** (lam + 1.0)
+               / (lam + 1.0) * hyp1f1(lam + 1.0, lam + 2.0, c * ln_t))
+        if np.any(at_zero):
+            # int_0^inf y^lam 2^(-c y) dy = Gamma(lam+1) / (c ln 2)^(lam+1)
+            a0 = (_LN2 * math.gamma(lam + 1.0) / (c * _LN2) ** (lam + 1.0)
+                  if c > 0.0 else math.inf)
+            out = np.where(at_zero, a0, out)
+    return float(out) if out.ndim == 0 else out
 
 
 def _kernel_eval(p: float, alpha: float, lam: float,
                  t: np.ndarray) -> np.ndarray:
-    ts, vals = _kernel_table(p, alpha, lam)
+    """A(t), interpolated in log t.
+
+    The nodes are 3000 log-spaced t in [1e-16, 2], and 1.  Inverse chords
+    are floored above 1e-16 by ``InverseGeometry.build``.
+    """
+    ts = np.unique(np.append(np.geomspace(1e-16, 2.0, 3000), 1.0))
+    vals = kernel_antiderivative(EnergyParams(p, alpha, lam), ts)
     t = np.asarray(t, dtype=float)
-    out = np.interp(np.log(np.maximum(t, ts[0])), np.log(ts), vals)
-    # below the table: extend with the exact quadrature lazily (rare)
-    small = t < ts[0]
-    if np.any(small):
-        params = EnergyParams(p, alpha, lam)
-        uniq = np.unique(t[small])
-        rep = {float(u): kernel_antiderivative(params, float(u))
-               for u in uniq}
-        out = out.copy()
-        out[small] = [rep[float(u)] for u in t[small]]
-    return out
+    return np.interp(np.log(np.maximum(t, ts[0])), np.log(ts), vals)
 
 
 # ---------------------------------------------------------- ring geometry
