@@ -250,6 +250,12 @@ def evaluate_inverse_kernel(geometries: tuple,
                             params: EnergyParams) -> EnergyReport:
     """V at one parameter point from ``inverse_kernel_geometries``."""
     fine, coarse = geometries
+    if params.lam <= -1.0:
+        # the kernel itself diverges: A = +inf below t = 1, -inf above
+        return EnergyReport(functional="inverse_kernel", params=params,
+                            levels=[0], per_level=np.array([math.inf]),
+                            value=math.inf, classification="diverging",
+                            notes={"map": fine.description})
     value, inner, notes = _v_value(fine, params)
     classification = "inconclusive"
     if coarse is not None:

@@ -93,6 +93,20 @@ def test_non_finite_map_numbers_are_rejected(desc, capsys):
     assert "is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lam", ["-1.5", "-1"])
+def test_inverse_kernel_diverges_for_lambda_at_most_minus_one(lam, tmp_path):
+    # the kernel is +inf below t = 1 and -inf above it
+    out = tmp_path / "v.json"
+    code = main(["energy", "--functionals", "v", "--p", "2", "--lambda", lam,
+                 "--levels", "4", "--out", str(out)])
+    assert code == 0
+    text = out.read_text()
+    assert "NaN" not in text
+    (rep,) = json.loads(text)["reports"]
+    assert rep["value"] == math.inf
+    assert rep["classification"] == "diverging"
+
+
 def test_pair_energy_rejects_zero_levels(capsys):
     # u with no rings used to report 0.0, unlike e1 and i1
     code = main(["energy", "--functionals", "u", "--levels", "0"])
