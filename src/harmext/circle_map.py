@@ -103,6 +103,9 @@ class CircleMap:
         """
         if tol is None:
             tol = max(self.eval_tolerance * 1e-2, 1e-14)
+        elif not (math.isfinite(tol) and tol > 0):
+            raise DomainError(f"tol must be a positive finite number, "
+                              f"got {tol}")
         arr, scalar = _as_array(y)
         target = np.mod(arr - self.rotation, 1.0)
 

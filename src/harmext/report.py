@@ -36,6 +36,9 @@ class EnergyParams:
     lam: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.p, self.alpha, self.lam))):
+            raise DomainError(f"p, alpha and lambda must be finite, got "
+                              f"{self.p}, {self.alpha}, {self.lam}")
         if self.p <= 1:
             raise DomainError(f"need p > 1, got p={self.p}")
 

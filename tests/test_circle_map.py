@@ -68,6 +68,12 @@ def test_invert_staircase_plateau_midpoint():
     assert m.invert(0.5) == pytest.approx(0.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("tol", [0.0, math.nan])
+def test_invert_rejects_bad_tolerance(tol):
+    with pytest.raises(DomainError):
+        circle_map.identity().invert(0.5, tol=tol)
+
+
 def test_invert_respects_rotation():
     m = circle_map.rotation_map(0.3)
     y = m.eval(0.62)

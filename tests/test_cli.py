@@ -93,6 +93,13 @@ def test_non_finite_map_numbers_are_rejected(desc, capsys):
     assert "is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("arg", ["--p=nan", "--alpha=inf", "--lambda=-inf"])
+def test_non_finite_parameters_are_rejected(arg, capsys):
+    code = main(["energy", "--functionals", "e1", "--levels", "4", arg])
+    assert code == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("lam", ["-1.5", "-1"])
 def test_inverse_kernel_diverges_for_lambda_at_most_minus_one(lam, tmp_path):
     # the kernel is +inf below t = 1 and -inf above it
