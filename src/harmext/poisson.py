@@ -197,9 +197,11 @@ class PoissonExtension:
     # ----------------------------------------------------- bulk sampling
 
     def _fourier_coeffs(self, length: int) -> np.ndarray:
+        # exactly the grid the radius asks for, never a larger one kept from
+        # a deeper level: the samples must not depend on the call order
         m = min(max(1 << 14, 1 << (max(length, 1) - 1).bit_length()),
                 _MAX_COEFF_LEN)
-        if self._coeffs is None or self._coeffs.size < m:
+        if self._coeffs is None or self._coeffs.size != m:
             self._coeffs = np.fft.fft(self.boundary_values(m)) / m
         return self._coeffs
 

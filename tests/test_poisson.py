@@ -114,6 +114,18 @@ def test_level_samples_fill_the_level_annulus(ext_pl):
                                                  rel=1e-14)
 
 
+@pytest.mark.parametrize("name", ["pl_kinked", "staircase_s2"])
+def test_level_samples_do_not_depend_on_call_order(fleet, name):
+    # level 14 builds a much finer coefficient grid than level 9 needs;
+    # the shallower levels sampled after it must come out the same
+    fresh = PoissonExtension(fleet[name])
+    after_deep = PoissonExtension(fleet[name])
+    after_deep.level_samples(14)
+    for j in (1, 3, 6, 9):
+        np.testing.assert_array_equal(after_deep.level_samples(j)[0],
+                                      fresh.level_samples(j)[0])
+
+
 def test_level_samples_cached(ext_pl):
     a = ext_pl.level_samples(4)
     b = ext_pl.level_samples(4)
