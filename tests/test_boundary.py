@@ -44,9 +44,12 @@ def test_kernel_diverges_for_strong_negative_lam():
 
 @pytest.mark.parametrize("p,alpha,lam", [
     (2.0, 0.0, 0.0), (1.5, -0.5, 1.0), (3.0, 1.0, 2.0), (2.0, 0.5, 0.5),
+    (3.0, 0.0, 0.5), (2.5, -0.5, -0.5),
 ])
 def test_kernel_matches_direct_quadrature(p, alpha, lam):
-    # independent oracle: the untransformed integrand over [t, 1]
+    # independent oracles: the untransformed integrand over [t, 1], and
+    # for t > 1 the mirrored y-integral; 2 + alpha - p < 0 in the last two
+    # cases puts the Kummer function at a positive argument for t < 1
     params = EnergyParams(p, alpha, lam)
     for t in (0.05, 0.3, 0.8):
         direct, _ = quad(
@@ -54,6 +57,23 @@ def test_kernel_matches_direct_quadrature(p, alpha, lam):
             1.0, t, limit=200)
         assert boundary.kernel_antiderivative(params, t) == pytest.approx(
             direct, rel=1e-7)
+    c = 2.0 + alpha - p
+    for t in (1.3, 1.9):
+        mirrored, _ = quad(lambda y: y ** lam * 2.0 ** (c * y),
+                           0.0, math.log2(t), limit=200)
+        assert boundary.kernel_antiderivative(params, t) == pytest.approx(
+            -math.log(2.0) * mirrored, rel=1e-7)
+
+
+@pytest.mark.parametrize("lam", [-0.5, -1.0])
+def test_kernel_vectorised_over_t(lam):
+    params = EnergyParams(2.5, -0.5, lam)
+    ts = np.array([0.0, 1e-12, 0.3, 1.0, 1.9])
+    got = boundary.kernel_antiderivative(params, ts)
+    assert got.shape == ts.shape
+    np.testing.assert_allclose(
+        got, [boundary.kernel_antiderivative(params, float(t)) for t in ts],
+        rtol=1e-14)
 
 
 def test_kernel_rejects_negative_argument():
