@@ -91,7 +91,6 @@ def _kernel_eval(p: float, alpha: float, lam: float,
     """
     ts = np.unique(np.append(np.geomspace(1e-16, 2.0, 3000), 1.0))
     vals = kernel_antiderivative(EnergyParams(p, alpha, lam), ts)
-    t = np.asarray(t, dtype=float)
     return np.interp(np.log(np.maximum(t, ts[0])), np.log(ts), vals)
 
 
