@@ -72,8 +72,11 @@ def kernel_antiderivative(params: EnergyParams, t):
         c = 2.0 + alpha - p
         at_zero = t_arr == 0.0
         ln_t = np.log(np.where(at_zero, 1.0, t_arr))
-        out = (np.sign(1.0 - t_arr) * _LN2 * np.abs(ln_t / _LN2) ** (lam + 1.0)
-               / (lam + 1.0) * hyp1f1(lam + 1.0, lam + 2.0, c * ln_t))
+        # for large lam, A at small t lies past the float range: inf
+        with np.errstate(over="ignore"):
+            out = (np.sign(1.0 - t_arr) * _LN2
+                   * np.abs(ln_t / _LN2) ** (lam + 1.0) / (lam + 1.0)
+                   * hyp1f1(lam + 1.0, lam + 2.0, c * ln_t))
         if np.any(at_zero):
             # int_0^inf y^lam 2^(-c y) dy = Gamma(lam+1) / (c ln 2)^(lam+1)
             a0 = (_LN2 * math.gamma(lam + 1.0) / (c * _LN2) ** (lam + 1.0)

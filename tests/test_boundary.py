@@ -42,6 +42,13 @@ def test_kernel_diverges_for_strong_negative_lam():
     assert boundary.kernel_antiderivative(params, 2.0) == -math.inf
 
 
+def test_kernel_past_float_range_is_inf():
+    # ln 2 * log2(1e16)^201 / 201 is about 1e344
+    params = EnergyParams(2.0, 0.0, 200.0)
+    assert boundary.kernel_antiderivative(params, 1e-16) == math.inf
+    assert math.isfinite(boundary.kernel_antiderivative(params, 1e-8))
+
+
 @pytest.mark.parametrize("p,alpha,lam", [
     (2.0, 0.0, 0.0), (1.5, -0.5, 1.0), (3.0, 1.0, 2.0), (2.0, 0.5, 0.5),
     (3.0, 0.0, 0.5), (2.5, -0.5, -0.5),
