@@ -247,6 +247,10 @@ class StaircaseLift:
         arr = np.asarray(t, dtype=float)
         return 0.5 * (self.staircase(arr) + arr)
 
+    def breakpoints(self):
+        """The plateau endpoints; the float lift is linear between them."""
+        return self._xs, 0.5 * (self._fs + self._xs)
+
     # structure-aware dyadic increments -------------------------------
 
     def level_increment_groups(self, j: int):

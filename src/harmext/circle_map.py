@@ -5,7 +5,9 @@ with ``u(0) = 0`` and ``u(1) = 1`` (angles measured in turns) together with a
 rotation offset ``rho``; the map itself sends ``exp(2 pi i t)`` to
 ``exp(2 pi i (u(t) + rho))``.  The lift is required to be nondecreasing, so
 plateau maps (limits of homeomorphisms, e.g. devil-staircase boundary data)
-are admissible.
+are admissible.  Every lift is piecewise linear and reports its breakpoints,
+which give the Fourier coefficients of the map in closed form
+(``fourier_coefficients``).
 
 Inversion uses bisection; when the requested value sits on a plateau the
 midpoint of the plateau is returned, so ``invert`` is a genuine monotone
@@ -28,6 +30,7 @@ MAX_LEVEL_CELLS = 2 ** 22
 _MONOTONE_CHECK_POINTS = 4097
 _MONOTONE_SLACK = 1e-12
 _MAX_BISECTIONS = 200
+_COEFF_BLOCK = 1 << 16        # pieces x frequencies evaluated at once
 
 
 @dataclass
@@ -58,7 +61,11 @@ def _as_array(t):
 
 @dataclass
 class CircleMap:
-    """A circle map given by a normalized lift and a rotation offset."""
+    """A circle map given by a normalized lift and a rotation offset.
+
+    ``lift`` is a callable with a ``breakpoints()`` method returning the
+    nodes (xs, ys) that it interpolates linearly.
+    """
 
     lift: Callable[[np.ndarray], np.ndarray]
     rotation: float = 0.0
@@ -66,6 +73,9 @@ class CircleMap:
     description: str = "custom"
 
     def __post_init__(self):
+        if not callable(getattr(self.lift, "breakpoints", None)):
+            raise DomainError("lift must provide breakpoints() -> (xs, ys), "
+                              "the nodes it interpolates linearly")
         u = self.lift_eval(np.array([0.0, 1.0]))
         if abs(u[0]) > 1e-12 or abs(u[1] - 1.0) > 1e-12:
             raise DomainError(
@@ -92,6 +102,29 @@ class CircleMap:
         frac = np.mod(arr, 1.0)
         out = np.mod(self.lift_eval(frac) + self.rotation, 1.0)
         return float(out) if scalar else out
+
+    def fourier_coefficients(self, K: int) -> np.ndarray:
+        """c_k of exp(2 pi i (u(t) + rho)) for k = -K..K, index k + K.
+
+        On a linear piece of width dx and rise dy with midpoint (xm, ym),
+        int exp(2 pi i (u(t) - k t)) dt over the piece is exactly
+        dx exp(2 pi i (ym - k xm)) sinc(dy - k dx), sinc(x) = sin(pi x)/(pi x);
+        this midpoint form has no cancellation where the slope meets k.
+        """
+        if K < 0:
+            raise DomainError(f"need K >= 0, got {K}")
+        xs, ys = (np.asarray(a, dtype=float) for a in self.lift.breakpoints())
+        dx, dy = np.diff(xs), np.diff(ys)
+        xm, ym = (xs[:-1] + xs[1:]) / 2, (ys[:-1] + ys[1:]) / 2
+        ks = np.arange(-K, K + 1)
+        out = np.empty(ks.size, dtype=complex)
+        step = max(1, _COEFF_BLOCK // dx.size)
+        for start in range(0, ks.size, step):
+            k = ks[start:start + step, None].astype(float)
+            terms = dx * np.exp(2j * np.pi * (ym - k * xm)) \
+                * np.sinc(dy - k * dx)
+            out[start:start + step] = terms.sum(axis=1)
+        return np.exp(2j * np.pi * self.rotation) * out
 
     # -------------------------------------------------------------- invert
 
@@ -180,6 +213,9 @@ class _IdentityLift:
     def __call__(self, t):
         return t
 
+    def breakpoints(self):
+        return np.array([0.0, 1.0]), np.array([0.0, 1.0])
+
 
 class _PiecewiseLinearLift:
     def __init__(self, xs, ys):
@@ -188,6 +224,9 @@ class _PiecewiseLinearLift:
 
     def __call__(self, t):
         return np.interp(t, self.xs, self.ys)
+
+    def breakpoints(self):
+        return self.xs, self.ys
 
 
 def identity() -> CircleMap:

@@ -41,6 +41,9 @@ class OrliczSpec:
     k_slope: float | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.p) and math.isfinite(self.lam)):
+            raise DomainError(f"p and lambda must be finite, got p={self.p}, "
+                              f"lambda={self.lam}")
         if self.p <= 1:
             raise DomainError(f"need p > 1, got p={self.p}")
 

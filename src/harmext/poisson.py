@@ -9,17 +9,22 @@ and the differential is measured by the operator norm
 
     |Dh|(z) = |h_z(z)| + |h_zbar(z)|.
 
-Two derivative routes are kept deliberately independent and cross-checked
-in the tests: "analytic_kernel" differentiates the Poisson kernel in
-closed form under the integral,
+Pointwise evaluation sums the Fourier series of h with the exact
+coefficients c_k of phi (``CircleMap.fourier_coefficients``, closed form
+over the linear pieces of the lift):
 
-    dP/dz    = -zbar / |w-z|^2 + (1 - |z|^2)(wbar - zbar) / |w-z|^4,
-    dP/dzbar = -z    / |w-z|^2 + (1 - |z|^2)(w - z)    / |w-z|^4,
+    h(z)      = c_0 + sum_{k>=1} (c_k z^k + c_{-k} zbar^k),
+    h_z(z)    = sum_{k>=1} k c_k z^(k-1),
+    h_zbar(z) = sum_{k>=1} k c_{-k} zbar^(k-1),
 
-while "finite_difference" applies central differences with step
-(1-|z|)/100 to ``extend``.  Pointwise evaluation uses uniform trapezoid
-quadrature with node doubling (geometric convergence for the analytic
-periodic integrand) until the value settles.
+each cut at K = floor(37 / (1 - |z|_max)) + 1 terms, past which |z|^k is
+below 1e-16.  A point that needs more than 2^20 terms (|z| > 1 - 3.5e-5)
+raises PrecisionError naming its K.  The coefficients for the largest K
+asked so far are kept on the extension.  Two derivative routes are kept
+deliberately independent and cross-checked in the tests:
+"analytic_kernel" sums the differentiated series above, while
+"finite_difference" applies central differences with step (1-|z|)/100 to
+``extend``.
 
 The weighted Dirichlet-type integrals
 
@@ -54,6 +59,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .circle_map import CircleMap
 from .errors import DomainError, PrecisionError
@@ -65,9 +71,8 @@ _GAUSS4_X, _GAUSS4_W = np.polynomial.legendre.leggauss(4)
 _G4X = 0.5 * (_GAUSS4_X + 1.0)
 _G4W = 0.5 * _GAUSS4_W
 
-_KERNEL_NODES = 2048          # first trapezoid grid of point evaluation
-_MAX_POINT_NODES = 1 << 21
 _SERIES_DECAY = 37.0          # r^n < 1e-16 once n > 37 / (1 - r)
+_MAX_SERIES_TERMS = 1 << 20   # pointwise terms, |z| <= 1 - 3.5e-5
 _MAX_COEFF_LEN = 1 << 22
 
 
@@ -89,6 +94,7 @@ class PoissonExtension:
     boundary: CircleMap
     derivative_mode: str = "analytic_kernel"
     _coeffs: np.ndarray | None = field(default=None, repr=False)
+    _point_coeffs: np.ndarray | None = field(default=None, repr=False)
     _samples: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -110,26 +116,21 @@ class PoissonExtension:
             raise DomainError("evaluation point too close to the boundary "
                               "(need |z| <= 1 - 1e-9)")
 
-    def _adaptive_mean(self, z: np.ndarray, integrand) -> np.ndarray:
-        """Trapezoid mean over the circle with node doubling.
-
-        ``integrand(z, pos, val)`` receives the boundary positions (points
-        of the circle itself) and the boundary values of the map there.
-        """
+    def _series_coeffs(self, z: np.ndarray):
+        """(c_0, c_1..c_K, c_-1..c_-K) for the K the points need."""
         zmax = float(np.max(np.abs(z))) if z.size else 0.0
-        tol = 1e-9 / max(1.0 - zmax, 1e-9)
-        n = _KERNEL_NODES
-        prev = None
-        while n <= _MAX_POINT_NODES:
-            pos = np.exp(2j * np.pi * np.arange(n) / n)
-            val = self.boundary_values(n)
-            cur = np.mean(integrand(z[..., None], pos, val), axis=-1)
-            if prev is not None and np.max(np.abs(cur - prev)) <= tol:
-                return cur
-            prev = cur
-            n *= 2
-        raise PrecisionError(
-            f"node doubling hit {_MAX_POINT_NODES} before reaching {tol:g}")
+        K = int(_SERIES_DECAY / (1.0 - zmax)) + 1
+        if K > _MAX_SERIES_TERMS:
+            raise PrecisionError(
+                f"|z| = {zmax!r} needs K = {K} series terms, over the cap "
+                f"of {_MAX_SERIES_TERMS}")
+        cached = self._point_coeffs
+        if cached is None or cached.size < 2 * K + 1:
+            self._point_coeffs = cached = \
+                self.boundary.fourier_coefficients(K)
+        mid = cached.size // 2
+        return cached[mid], cached[mid + 1:mid + K + 1], \
+            cached[mid - K:mid][::-1]
 
     def extend(self, z):
         """Harmonic extension h(z) for z strictly inside the disk."""
@@ -137,11 +138,9 @@ class PoissonExtension:
         scalar = arr.shape == ()
         arr = np.atleast_1d(arr)
         self._check_inside(arr)
-
-        def integrand(zz, pos, val):
-            return (1.0 - np.abs(zz) ** 2) / np.abs(pos - zz) ** 2 * val
-
-        out = self._adaptive_mean(arr, integrand)
+        c0, pos, neg = self._series_coeffs(arr)
+        out = c0 + arr * polyval(arr, pos) \
+            + np.conj(arr) * polyval(np.conj(arr), neg)
         return complex(out[0]) if scalar else out
 
     def wirtinger(self, z):
@@ -151,27 +150,17 @@ class PoissonExtension:
         arr = np.atleast_1d(arr)
         self._check_inside(arr)
         if self.derivative_mode == "analytic_kernel":
-            hz, hzb = self._wirtinger_analytic(arr)
+            hz, hzb = self._wirtinger_series(arr)
         else:
             hz, hzb = self._wirtinger_fd(arr)
         if scalar:
             return complex(hz[0]), complex(hzb[0])
         return hz, hzb
 
-    def _wirtinger_analytic(self, z):
-        def hz_integrand(zz, pos, val):
-            d2 = np.abs(pos - zz) ** 2
-            return (-np.conj(zz) / d2
-                    + (1 - np.abs(zz) ** 2) * np.conj(pos - zz) / d2 ** 2) \
-                * val
-
-        def hzb_integrand(zz, pos, val):
-            d2 = np.abs(pos - zz) ** 2
-            return (-zz / d2
-                    + (1 - np.abs(zz) ** 2) * (pos - zz) / d2 ** 2) * val
-
-        return (self._adaptive_mean(z, hz_integrand),
-                self._adaptive_mean(z, hzb_integrand))
+    def _wirtinger_series(self, z):
+        _, pos, neg = self._series_coeffs(z)
+        k = np.arange(1, pos.size + 1)
+        return polyval(z, k * pos), polyval(np.conj(z), k * neg)
 
     def _wirtinger_fd(self, z):
         # fourth-order central differences: the second-order stencil is

@@ -36,6 +36,11 @@ class WeightSpec:
     alpha: float
     lam: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.lam)):
+            raise DomainError(f"alpha and lambda must be finite, got "
+                              f"alpha={self.alpha}, lambda={self.lam}")
+
 
 def weight(spec: WeightSpec, x):
     """Evaluate the weight at points of the plane (complex array or radii).
@@ -95,8 +100,8 @@ def jones_factors(p: float, alpha: float, lam: float):
     so that w1 * w2^(1-p) = w exactly.  The A_1 range requires
     alpha in (-1, p-1) (both a1, a2 in (0, 1)).
     """
-    if p <= 1:
-        raise DomainError(f"need p > 1, got {p}")
+    if not (math.isfinite(p) and p > 1):
+        raise DomainError(f"need finite p > 1, got {p}")
     a1 = (p - 1 - alpha) / p
     a2 = (1 + alpha) / p
     if lam >= 0:
@@ -211,8 +216,8 @@ def estimate_ap_constant(spec: WeightSpec, p: float, trials: int = 200,
     [1e-4, 4]; raises QuadratureOverflowError when a sampled disk average
     fails to converge (weight outside the A_p range).
     """
-    if p <= 1:
-        raise DomainError(f"need p > 1, got {p}")
+    if not (math.isfinite(p) and p > 1):
+        raise DomainError(f"need finite p > 1, got {p}")
     if trials < 1:
         raise DomainError(f"need trials >= 1, got {trials}")
     rng = np.random.default_rng(rng_seed)

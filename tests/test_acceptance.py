@@ -116,6 +116,20 @@ class TestAnchors:
                                          EnergyParams(2.0, 0.0, 0.0))
         assert rep.value == pytest.approx(4 * math.pi ** 2, rel=1e-3)
 
+    @pytest.mark.parametrize("name", ["identity", "rotation", "pl_mild",
+                                      "pl_kinked"])
+    def test_pair_energy_douglas_formula(self, fleet, name):
+        # Douglas (Trans. AMS 1931): at p = 2, alpha = lambda = 0 the pair
+        # energy is 4 pi^2 sum |k| |c_k|^2; |c_k| = O(k^-2) on these maps,
+        # so the sum cut at 4096 is exact to ~1e-8
+        c = fleet[name].fourier_coefficients(4096)
+        k = np.arange(-4096, 4097)
+        S = float(np.sum(np.abs(k) * np.abs(c) ** 2))
+        rep = boundary.gauge_pair_energy(fleet[name],
+                                         EnergyParams(2.0, 0.0, 0.0),
+                                         diagonal_rings=14)
+        assert rep.value == pytest.approx(4 * math.pi ** 2 * S, rel=3e-4)
+
     def test_inverse_kernel_identity_mean_zero(self, fleet):
         rep = boundary.inverse_kernel_energy(fleet["identity"],
                                              EnergyParams(2.0, 0.0, 0.0))

@@ -143,8 +143,14 @@ def test_level_increments_match_arc_lengths():
 # ---------------------------------------------------------- constructors
 
 def test_lift_must_fix_endpoints():
-    with pytest.raises(DomainError):
-        circle_map.CircleMap(lift=lambda t: np.asarray(t) * 0.5)
+    half = circle_map._PiecewiseLinearLift([0.0, 1.0], [0.0, 0.5])
+    with pytest.raises(DomainError, match="lift must fix 0 and 1"):
+        circle_map.CircleMap(lift=half)
+
+
+def test_lift_must_provide_breakpoints():
+    with pytest.raises(DomainError, match="breakpoints"):
+        circle_map.CircleMap(lift=lambda t: np.asarray(t))
 
 
 def test_lift_must_be_monotone():
@@ -171,3 +177,36 @@ def test_from_description_roundtrip():
 def test_from_description_rejects_malformed(bad):
     with pytest.raises(DomainError):
         circle_map.from_description(bad)
+
+
+# --------------------------------------------------- Fourier coefficients
+
+@pytest.mark.parametrize("name", ["pl_mild", "pl_kinked"])
+def test_fourier_coefficients_match_fft(fleet, name):
+    # independent oracle: the FFT of 2^21 boundary samples, whose aliasing
+    # is O(n^-2) for a piecewise-linear lift
+    m = fleet[name]
+    n = 1 << 21
+    fft = np.fft.fft(np.exp(2j * np.pi * m.eval(np.arange(n) / n))) / n
+    k = np.arange(-400, 401)
+    np.testing.assert_allclose(m.fourier_coefficients(400), fft[k],
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["identity", "rotation"])
+def test_fourier_coefficients_of_a_rotation(fleet, name):
+    # exp(2 pi i (t + rho)) has the single coefficient c_1 = exp(2 pi i rho)
+    m = fleet[name]
+    want = np.zeros(2001, dtype=complex)
+    want[1000 + 1] = np.exp(2j * np.pi * m.rotation)
+    np.testing.assert_allclose(m.fourier_coefficients(1000), want,
+                               rtol=0, atol=1e-15)
+
+
+def test_staircase_breakpoints_reproduce_the_lift(fleet):
+    m = fleet["staircase_s2"]
+    xs, ys = m.lift.breakpoints()
+    assert xs.size == 2048
+    t = np.random.default_rng(5).uniform(0, 1, 4096)
+    np.testing.assert_allclose(np.interp(t, xs, ys), m.lift_eval(t),
+                               rtol=0, atol=1e-15)

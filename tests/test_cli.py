@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from collections import Counter
 
 import pytest
@@ -243,3 +244,19 @@ def test_orlicz_check(tmp_path):
     assert payload["monotonicity_violations"] == 0
     assert payload["convexity_violations"] == 0
     assert 0 < payload["breakpoints"]["t1"] < payload["breakpoints"]["t2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["orlicz-check", "--p=nan", "--lambda", "0"],
+    ["orlicz-check", "--lambda=inf"],
+    ["weights-check", "--alpha=nan", "--trials", "5"],
+    ["weights-check", "--lambda=inf", "--trials", "5"],
+    ["weights-check", "--p=nan", "--trials", "5"],
+])
+def test_check_commands_refuse_non_finite_input(argv, capsys):
+    # refused before any computation: no warning, no traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code == 1
+    assert "finite" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from harmext import circle_map
-from harmext.errors import DomainError
+from harmext.errors import DomainError, PrecisionError
 from harmext.poisson import PoissonExtension
 from harmext.report import EnergyParams
 
@@ -79,6 +79,79 @@ def test_harmonicity_five_point_laplacian(ext_pl):
     assert np.max(np.abs(stencil.imag)) < 1e-4
 
 
+def _trapezoid(boundary, z, kernel, n=1 << 18):
+    """Mean of kernel(z, w) phi(w) over n equispaced w on the circle."""
+    t = np.arange(n) / n
+    w = np.exp(2j * np.pi * t)
+    phi = np.exp(2j * np.pi * boundary.eval(t))
+    return np.array([np.mean(kernel(zz, w) * phi) for zz in z])
+
+
+def _poisson(z, w):
+    return (1 - abs(z) ** 2) / np.abs(w - z) ** 2
+
+
+def _poisson_dz(z, w):
+    d2 = np.abs(w - z) ** 2
+    return -np.conj(z) / d2 + (1 - abs(z) ** 2) * np.conj(w - z) / d2 ** 2
+
+
+def _poisson_dzbar(z, w):
+    d2 = np.abs(w - z) ** 2
+    return -z / d2 + (1 - abs(z) ** 2) * (w - z) / d2 ** 2
+
+
+@pytest.mark.parametrize("name", ["pl_mild", "pl_kinked"])
+def test_series_matches_trapezoid_kernel_quadrature(fleet, name):
+    # independent oracle: the Poisson integral and its differentiated
+    # kernels on a fixed grid, whose aliasing error is O(n^-2) here
+    ext = PoissonExtension(fleet[name])
+    rng = np.random.default_rng(17)
+    for r in (0.3, 0.6, 0.8):
+        z = r * np.exp(2j * np.pi * rng.uniform(0, 1, 4))
+        tol = 1e-9 / (1 - r)
+        hz, hzb = ext.wirtinger(z)
+        for got, kernel in ((ext.extend(z), _poisson), (hz, _poisson_dz),
+                            (hzb, _poisson_dzbar)):
+            want = _trapezoid(ext.boundary, z, kernel)
+            assert np.max(np.abs(got - want)) < tol, (r, kernel.__name__)
+
+
+def test_staircase_derivatives_where_node_doubling_failed(fleet):
+    # the staircase points of the benchmark's pointwise workload at
+    # |z| = 0.3 (numpy stream 3): trapezoid node doubling reached its cap
+    # of 2^21 nodes there
+    rng = np.random.default_rng(3)
+    z = 0.3 * np.exp(2j * np.pi * rng.random(2))
+    hz, hzb = PoissonExtension(fleet["staircase_s2"]).wirtinger(z)
+    fd = PoissonExtension(fleet["staircase_s2"],
+                          derivative_mode="finite_difference")
+    hz_f, hzb_f = fd.wirtinger(z)
+    scale = np.abs(hz) + np.abs(hzb)
+    assert np.max(np.abs(hz - hz_f) / scale) < 1e-5
+    assert np.max(np.abs(hzb - hzb_f) / scale) < 1e-5
+
+
+def test_point_past_the_term_cap_raises(ext_identity):
+    # K = 37 / (1 - |z|) + 1 terms in floating point, far over the cap
+    # of 2^20
+    for method in (ext_identity.extend, ext_identity.wirtinger):
+        with pytest.raises(PrecisionError, match="needs K = 3699999982 "):
+            method(1 - 1e-8)
+
+
+def test_point_values_do_not_depend_on_call_order(fleet):
+    # a deeper point first computes more coefficients; the shallower
+    # points after it must come out the same
+    z = 0.3 * np.exp(2j * np.pi * np.array([0.1, 0.7]))
+    fresh = PoissonExtension(fleet["staircase_s2"])
+    after_deep = PoissonExtension(fleet["staircase_s2"])
+    after_deep.extend(0.95)
+    np.testing.assert_array_equal(after_deep.extend(z), fresh.extend(z))
+    np.testing.assert_array_equal(after_deep.wirtinger(z),
+                                  fresh.wirtinger(z))
+
+
 # --------------------------------------------------------- bulk sampling
 
 def test_slice_samples_match_pointwise(ext_pl):
@@ -93,9 +166,9 @@ def test_slice_samples_match_pointwise(ext_pl):
                 theta = 2 * math.pi * (cell_idx + _G4X[gi]) * 2.0 ** -j
                 z = r_nodes[ri] * np.exp(1j * theta)
                 direct = ext_pl.derivative_norm(complex(z))
-                # the slice path fixes the kernel grid while the pointwise
-                # path doubles adaptively; agreement is limited by the
-                # aliasing of the coarser grid
+                # the slice path sums the FFT coefficients of 2^14 boundary
+                # samples while the pointwise path sums the exact ones;
+                # agreement is limited by the aliasing of the FFT grid
                 assert dh[ri, gi, cell_idx] == pytest.approx(direct,
                                                              rel=2e-6)
 
