@@ -18,19 +18,30 @@ The limit function f is a devil-staircase: constant on every kept plateau
 left after step n.  The circle map uses the lift g = (f + id)/2, which is
 strictly increasing with slope >= 1/2, hence a homeomorphism lift.
 
-All endpoints are dyadic rationals, kept exactly as Fractions.  That makes
-a fast path for dyadic-level increments possible: at level j pick the first
-step m whose margin is <= 2^-j; every gap after step m is then contained in
-a single dyadic cell (gap endpoints are multiples of the gap length, which
-divides the cell width), and f rises by exactly 2^-m across each gap.  So
-the lift increment of a cell is (count * 2^-m + 2^-j)/2 where count is the
-number of gaps it contains -- no enumeration of the 2^j cells required.
+All endpoints are dyadic rationals, kept exactly as Fractions in the
+public ``StaircaseTree``.  That makes a fast path for dyadic-level
+increments possible: at level j pick the first step m whose margin is
+<= 2^-j; every gap after step m is then contained in a single dyadic cell
+(gap endpoints are multiples of the gap length, which divides the cell
+width), and f rises by exactly 2^-m across each gap.  So the lift increment
+of a cell is (count * 2^-m + 2^-j)/2 where count is the number of gaps it
+contains -- no enumeration of the 2^j cells required.
+
+The exact bookkeeping of both hot paths runs on Python integers.  For each
+step m the lift keeps a split-level table: with the sorted gap left
+endpoints scaled to integers A_i = lo_i 2^E, gaps i and i+1 fall in
+different dyadic cells from level split_i = E - bitlength(A_i xor A_i+1) + 1
+on, so the counts of level j are the run lengths between the indices with
+split_i <= j.  ``f_exact`` walks the construction with every endpoint
+scaled by q 2^E (x = P/q) and builds its two Fractions only at the end.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -63,13 +74,17 @@ class RemovalSchedule:
     j: tuple                 # j_1 .. j_depth
     n0: int
 
+    @cached_property
+    def margin_exponents(self) -> tuple:
+        """margin_exponent(1) .. margin_exponent(depth)."""
+        return tuple(2 * n if n < self.n0 else self.j[n - 1]
+                     for n in range(1, self.depth + 1))
+
     def margin_exponent(self, n: int) -> int:
         """margin(n) = 2^-margin_exponent(n)."""
         if not (1 <= n <= self.depth):
             raise DomainError(f"step {n} outside 1..{self.depth}")
-        if n < self.n0:
-            return 2 * n
-        return self.j[n - 1]
+        return self.margin_exponents[n - 1]
 
     def margin(self, n: int) -> Fraction:
         return Fraction(1, 2 ** self.margin_exponent(n))
@@ -159,48 +174,71 @@ def f_exact(tree: StaircaseTree, x: Fraction, max_step: int | None = None):
 
     Returns (value, error_bound): exact (error 0) when x lands on a kept
     plateau, otherwise the midpoint of the final gap's range with error
-    bound 2^-(max_step+1).
+    bound 2^-(max_step+1).  x must be a finite number in [0, 1] and
+    max_step an integer >= 0 (DomainError); a max_step past the built
+    depth raises DepthBudgetError.
     """
-    x = Fraction(x)
-    if not (0 <= x <= 1):
+    depth = tree.schedule.depth
+    if max_step is None:
+        max_step = depth
+    try:
+        max_step = operator.index(max_step)
+    except TypeError:
+        raise DomainError(f"max_step must be an integer, got {max_step!r}") \
+            from None
+    if max_step < 0:
+        raise DomainError(f"max_step must be >= 0, got {max_step}")
+    if max_step > depth:
+        raise DepthBudgetError(
+            f"tree built to depth {depth}, need {max_step}")
+    try:
+        x = Fraction(x)
+    except (ValueError, OverflowError):
+        raise DomainError(f"argument must be a finite number, got {x!r}") \
+            from None
+    P, q = x.numerator, x.denominator
+    if not (0 <= P <= q):
         raise DomainError("argument outside [0,1]")
     # the endpoints are the only residual points never adjacent to a built
     # plateau; their limit values are pinned by construction
-    if x == 0:
+    if P == 0:
         return Fraction(0), Fraction(0)
-    if x == 1:
+    if P == q:
         return Fraction(1), Fraction(0)
-    if max_step is None:
-        max_step = tree.schedule.depth
-    if max_step > tree.schedule.depth:
-        raise DepthBudgetError(
-            f"tree built to depth {tree.schedule.depth}, need {max_step}")
-    lo, hi, flo = Fraction(0), Fraction(1), Fraction(0)
-    for n in range(1, max_step + 1):
-        m = tree.schedule.margin(n)
+    # every margin is a multiple of 2^-E and x = P/q, so scaling by q 2^E
+    # turns the whole walk into integer comparisons; after n steps the
+    # value below the current gap is f_bits / 2^n
+    exps = tree.schedule.margin_exponents[:max_step]
+    E = max(exps, default=0)
+    X = P << E
+    lo, hi, f_bits = 0, q << E, 0
+    for n, e in enumerate(exps, start=1):
+        m = q << (E - e)
         a, b = lo + m, hi - m
-        if a <= x <= b:
-            return flo + Fraction(1, 2 ** n), Fraction(0)
-        if x < a:
-            lo, hi = lo, a
+        if a <= X <= b:
+            return Fraction(2 * f_bits + 1, 1 << n), Fraction(0)
+        if X < a:
+            hi = a
+            f_bits <<= 1
         else:
-            lo, hi, flo = b, hi, flo + Fraction(1, 2 ** n)
-    half_range = Fraction(1, 2 ** (max_step + 1))
-    return flo + half_range, half_range
+            lo = b
+            f_bits = 2 * f_bits + 1
+    return Fraction(2 * f_bits + 1, 1 << (max_step + 1)), \
+        Fraction(1, 1 << (max_step + 1))
 
 
 def f_eval(tree: StaircaseTree, x, tol: float) -> float:
     """Staircase value within absolute tolerance tol (DepthBudgetError if
     the built depth cannot deliver it)."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
     need = 0
     while 2.0 ** -(need + 1) > tol:
         need += 1
         if need > tree.schedule.depth:
             raise DepthBudgetError(
                 f"tol {tol:g} needs depth > {tree.schedule.depth}")
-    val, _ = f_exact(tree, Fraction(x), max_step=max(need, 1))
+    val, _ = f_exact(tree, x, max_step=max(need, 1))
     return float(val)
 
 
@@ -217,6 +255,7 @@ class StaircaseLift:
 
     def __init__(self, tree: StaircaseTree):
         self.tree = tree
+        self._split_levels: dict = {}     # step m -> split-level table
         sched = tree.schedule
         self.float_depth = 0
         for n in range(1, sched.depth + 1):
@@ -253,6 +292,24 @@ class StaircaseLift:
 
     # structure-aware dyadic increments -------------------------------
 
+    def _split_table(self, m: int) -> np.ndarray:
+        """split[i]: first level at which gaps i, i+1 of step m part.
+
+        With A_i = lo_i 2^E (E the finest margin exponent through step m),
+        the cells of level j are A_i >> (E - j), which agree exactly while
+        the highest differing bit of A_i and A_i+1 lies below E - j.
+        """
+        table = self._split_levels.get(m)
+        if table is None:
+            E = max(self.tree.schedule.margin_exponents[:m])
+            scaled = [lo.numerator << (E - lo.denominator.bit_length() + 1)
+                      for lo, _hi, _flo in self.tree.gaps[m]]
+            table = np.array([E + 1 - (a ^ b).bit_length()
+                              for a, b in zip(scaled[:-1], scaled[1:])],
+                             dtype=np.int64)
+            self._split_levels[m] = table
+        return table
+
     def level_increment_groups(self, j: int):
         """Exact lift increments of the active dyadic cells at level j.
 
@@ -261,24 +318,20 @@ class StaircaseLift:
         <= 2^-j; each contained gap raises f by exactly 2^-m.
         """
         sched = self.tree.schedule
-        m = None
-        for n in range(1, sched.depth + 1):
-            if sched.margin_exponent(n) >= j:
-                m = n
-                break
+        m = next((n for n, e in enumerate(sched.margin_exponents, start=1)
+                  if e >= j), None)
         if m is None:
             raise DepthBudgetError(
                 f"level {j} needs margins below 2^-{j}; built depth "
                 f"{sched.depth} reaches 2^-{sched.margin_exponent(sched.depth)}")
-        counts: dict = {}
-        for lo, _hi, _flo in self.tree.gaps[m]:
-            k = (lo.numerator << j) // lo.denominator
-            counts[k] = counts.get(k, 0) + 1
+        split = self._split_table(m)
+        # the gaps are sorted, so each active cell holds a run of them
+        cuts = np.flatnonzero(split <= j) + 1
+        counts = np.diff(cuts, prepend=0, append=split.size + 1)
         cell_width = math.ldexp(1.0, -j)       # 0.0 below the float range
         rise = math.ldexp(1.0, -m)
-        deltas = np.array([0.5 * (counts[k] * rise + cell_width)
-                           for k in sorted(counts)])
-        plateau_count = (1 << j) - len(counts)
+        deltas = 0.5 * (counts * rise + cell_width)
+        plateau_count = (1 << j) - counts.size
         return deltas, plateau_count
 
 

@@ -127,6 +127,59 @@ def test_f_monotone_on_sorted_sample(tree_s2):
     assert all(b >= a for a, b in zip(vals[:-1], vals[1:]))
 
 
+def _f_exact_fractions(tree, x, max_step):
+    """The Fraction walk the integer walk of ``f_exact`` replaced."""
+    x = Fraction(x)
+    if x == 0:
+        return Fraction(0), Fraction(0)
+    if x == 1:
+        return Fraction(1), Fraction(0)
+    lo, hi, flo = Fraction(0), Fraction(1), Fraction(0)
+    for n in range(1, max_step + 1):
+        m = tree.schedule.margin(n)
+        a, b = lo + m, hi - m
+        if a <= x <= b:
+            return flo + Fraction(1, 2 ** n), Fraction(0)
+        if x < a:
+            lo, hi = lo, a
+        else:
+            lo, hi, flo = b, hi, flo + Fraction(1, 2 ** n)
+    half_range = Fraction(1, 2 ** (max_step + 1))
+    return flo + half_range, half_range
+
+
+def test_f_exact_integer_walk_matches_fraction_walk(tree_s2):
+    depth = tree_s2.schedule.depth
+    rng = np.random.default_rng(11)
+    xs = [float(v) for v in rng.uniform(0.0, 1.0, 2000)]
+    tiny = Fraction(1, 2 ** 60)
+    for n in range(1, 7):
+        for lo, hi, _v in tree_s2.plateaus[n]:
+            xs += [lo, hi, lo - tiny, lo + tiny, hi - tiny, hi + tiny]
+    xs += [Fraction(1, 3), Fraction(1, 5), 0, 1]
+    for max_step in (0, 1, 5, depth):
+        for x in xs:
+            got = cantor.f_exact(tree_s2, x, max_step=max_step)
+            want = _f_exact_fractions(tree_s2, x, max_step)
+            assert got == want, (x, max_step)
+            assert all(type(v) is Fraction for v in got)
+
+
+def test_f_exact_refuses_bad_step_and_non_finite_x(tree_s2):
+    for bad in (-1, -2, 2.5):
+        with pytest.raises(DomainError):
+            cantor.f_exact(tree_s2, Fraction(1, 5), max_step=bad)
+    with pytest.raises(DepthBudgetError):
+        cantor.f_exact(tree_s2, Fraction(1, 5), max_step=11)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            cantor.f_exact(tree_s2, x)
+    with pytest.raises(DomainError):
+        cantor.f_eval(tree_s2, math.nan, 1e-3)
+    with pytest.raises(DomainError):
+        cantor.f_eval(tree_s2, 0.3, math.nan)
+
+
 # ----------------------------------------------------------------- lifts
 
 def test_staircase_map_basics():
@@ -158,6 +211,52 @@ def test_level_increments_telescope_exactly():
         inc = m.level_increments(j)
         total = math.fsum(inc.deltas) + inc.plateau_count * 2.0 ** -(j + 1)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _level_increment_groups_by_dict(lift, j):
+    """The dict count over gap endpoints that the split tables replaced."""
+    sched = lift.tree.schedule
+    m = next(n for n in range(1, sched.depth + 1)
+             if sched.margin_exponent(n) >= j)
+    counts = {}
+    for lo, _hi, _flo in lift.tree.gaps[m]:
+        k = (lo.numerator << j) // lo.denominator
+        counts[k] = counts.get(k, 0) + 1
+    cell_width = math.ldexp(1.0, -j)
+    rise = math.ldexp(1.0, -m)
+    deltas = np.array([0.5 * (counts[k] * rise + cell_width)
+                       for k in sorted(counts)])
+    return deltas, (1 << j) - len(counts)
+
+
+# the block-sum map of the benchmark and the three maps of ``examples``
+SPLIT_TABLE_MAPS = (("power", 2.0, 14), ("power", 4.0 / 3.0, 11),
+                    ("power", 2.0 / 3.0, 8), ("double_exp", 2.0, 3))
+
+
+def _assert_groups_match(lift, levels):
+    for j in levels:
+        deltas, plateau_count = lift.level_increment_groups(j)
+        want, want_count = _level_increment_groups_by_dict(lift, j)
+        assert deltas.dtype == np.float64
+        assert np.array_equal(deltas, want), j
+        assert type(plateau_count) is int and plateau_count == want_count
+
+
+@pytest.mark.parametrize("spec", SPLIT_TABLE_MAPS)
+def test_split_tables_match_dict_count(spec):
+    lift = cantor.make_staircase_map(*spec).lift
+    sched = lift.tree.schedule
+    top = sched.margin_exponent(sched.depth)
+    _assert_groups_match(lift, list(range(1, 128)) + [top - 1, top])
+
+
+@pytest.mark.parametrize("spec", SPLIT_TABLE_MAPS[:2])
+def test_split_tables_do_not_depend_on_level_order(spec):
+    # a fresh map asked deepest level first builds its tables in the
+    # opposite order
+    lift = cantor.make_staircase_map(*spec).lift
+    _assert_groups_match(lift, range(127, 0, -1))
 
 
 def test_level_increments_beyond_schedule_raise():
