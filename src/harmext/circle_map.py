@@ -104,19 +104,25 @@ class CircleMap:
         return float(out) if scalar else out
 
     def fourier_coefficients(self, K: int) -> np.ndarray:
-        """c_k of exp(2 pi i (u(t) + rho)) for k = -K..K, index k + K.
+        """c_k of exp(2 pi i (u(t) + rho)) for k = -K..K, index k + K."""
+        if K < 0:
+            raise DomainError(f"need K >= 0, got {K}")
+        return self.fourier_coefficients_at(np.arange(-K, K + 1))
+
+    def fourier_coefficients_at(self, ks) -> np.ndarray:
+        """c_k of exp(2 pi i (u(t) + rho)) at the integer frequencies ks.
 
         On a linear piece of width dx and rise dy with midpoint (xm, ym),
         int exp(2 pi i (u(t) - k t)) dt over the piece is exactly
         dx exp(2 pi i (ym - k xm)) sinc(dy - k dx), sinc(x) = sin(pi x)/(pi x);
         this midpoint form has no cancellation where the slope meets k.
+        Each c_k is its own sum over the pieces, so it does not depend on
+        which other frequencies are asked for alongside it.
         """
-        if K < 0:
-            raise DomainError(f"need K >= 0, got {K}")
+        ks = np.asarray(ks)
         xs, ys = (np.asarray(a, dtype=float) for a in self.lift.breakpoints())
         dx, dy = np.diff(xs), np.diff(ys)
         xm, ym = (xs[:-1] + xs[1:]) / 2, (ys[:-1] + ys[1:]) / 2
-        ks = np.arange(-K, K + 1)
         out = np.empty(ks.size, dtype=complex)
         step = max(1, _COEFF_BLOCK // dx.size)
         for start in range(0, ks.size, step):

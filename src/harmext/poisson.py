@@ -20,8 +20,9 @@ over the linear pieces of the lift):
 each cut at K = floor(37 / (1 - |z|_max)) + 1 terms, past which |z|^k is
 below 1e-16.  A point that needs more than 2^20 terms (|z| > 1 - 3.5e-5)
 raises PrecisionError naming its K.  The coefficients for the largest K
-asked so far are kept on the extension.  Two derivative routes are kept
-deliberately independent and cross-checked in the tests:
+asked so far are kept on the extension; a larger K computes only the new
+frequencies and splices them around the ones held.  Two derivative routes
+are kept deliberately independent and cross-checked in the tests:
 "analytic_kernel" sums the differentiated series above, while
 "finite_difference" applies central differences with step (1-|z|)/100 to
 ``extend``.
@@ -45,7 +46,9 @@ For the bulk sampling the harmonic series
 h_z = sum k c_k z^(k-1), h_zbar = sum k c_{-k} zbar^(k-1) (c_k the FFT
 coefficients of the boundary samples) is evaluated on radial slices by
 index folding -- exactly the trapezoid kernel quadrature, resummed, which
-keeps level J ~ 16 affordable.  |Dh| samples are cached per level and
+keeps level J ~ 16 affordable.  Each Gauss radius of a level builds its
+damped series once and folds it for all four angular offsets, with one
+FFT over the stack of four.  |Dh| samples are cached per level and
 reused across parameter points: a ``PoissonExtension`` is the map-only
 stage of I1 and I2 (the FFT coefficients, about 32 MB at level 14, and
 the per-level samples), and the ``energy`` and ``sweep`` commands build
@@ -125,9 +128,19 @@ class PoissonExtension:
                 f"|z| = {zmax!r} needs K = {K} series terms, over the cap "
                 f"of {_MAX_SERIES_TERMS}")
         cached = self._point_coeffs
-        if cached is None or cached.size < 2 * K + 1:
+        if cached is None:
             self._point_coeffs = cached = \
                 self.boundary.fourier_coefficients(K)
+        elif cached.size < 2 * K + 1:
+            # only the new frequencies K_old < |k| <= K, spliced around the
+            # c_k already held (each c_k is its own sum over the pieces)
+            K_old = cached.size // 2
+            ks = np.concatenate([np.arange(-K, -K_old),
+                                 np.arange(K_old + 1, K + 1)])
+            new = self.boundary.fourier_coefficients_at(ks)
+            n_side = K - K_old
+            self._point_coeffs = cached = np.concatenate(
+                [new[:n_side], cached, new[n_side:]])
         mid = cached.size // 2
         return cached[mid], cached[mid + 1:mid + K + 1], \
             cached[mid - K:mid][::-1]
@@ -194,12 +207,14 @@ class PoissonExtension:
             self._coeffs = np.fft.fft(self.boundary_values(m)) / m
         return self._coeffs
 
-    def _slice_derivatives(self, r: float, j: int, offset: float):
-        """h_z and h_zbar at r * exp(2 pi i (l + offset)/2^j), l = 0..2^j-1.
+    def _slice_derivatives(self, r: float, j: int, offsets):
+        """h_z and h_zbar at r * exp(2 pi i (l + g)/2^j), l = 0..2^j-1.
 
-        Folds the damped coefficient series into 2^j residue classes; the
-        result is the trapezoid kernel quadrature with the full coefficient
-        grid, evaluated exactly on the slice.
+        One row per angular offset g in ``offsets``: each returned array
+        has shape (len(offsets), 2^j).  Folds the damped coefficient series
+        into 2^j residue classes once per radius; the result is the
+        trapezoid kernel quadrature with the full coefficient grid,
+        evaluated exactly on the slices.
         """
         C = 1 << j
         need = int(_SERIES_DECAY / max(1.0 - r, 1e-12)) + 1
@@ -214,19 +229,24 @@ class PoissonExtension:
         b = coeffs[(-k) % M] * damp         # for h_zbar, frequency -(k-1)
 
         def fold(vec, sign):
-            # value_l = sum_m vec[m] * e^(sign * 2 pi i m (l+offset)/C),
+            # value_l = sum_m vec[m] * e^(sign * 2 pi i m (l+g)/C),
             # vec indexed by m = k-1 = 0..n_terms-1
             pad = (-vec.size) % C
             if pad:
                 vec = np.concatenate([vec, np.zeros(pad, dtype=complex)])
             rows = vec.reshape(-1, C)
-            row_phase = np.exp(sign * 2j * np.pi * offset
-                               * np.arange(rows.shape[0]))
-            col_phase = np.exp(sign * 2j * np.pi * offset * np.arange(C) / C)
-            folded = (rows * row_phase[:, None]).sum(axis=0) * col_phase
+            row_index, col_index = np.arange(rows.shape[0]), np.arange(C)
+            folded = np.empty((len(offsets), C), dtype=complex)
+            # one offset at a time: a single matrix product over the
+            # offsets would round the row sums differently
+            for i, g in enumerate(offsets):
+                row_phase = np.exp(sign * 2j * np.pi * g * row_index)
+                col_phase = np.exp(sign * 2j * np.pi * g * col_index / C)
+                folded[i] = (rows * row_phase[:, None]).sum(axis=0) \
+                    * col_phase
             if sign > 0:
-                return np.fft.ifft(folded) * C
-            return np.fft.fft(folded)
+                return np.fft.ifft(folded, axis=1) * C
+            return np.fft.fft(folded, axis=1)
 
         return fold(a, +1), fold(b, -1)
 
@@ -244,11 +264,11 @@ class PoissonExtension:
         wr = _G4W * width
         ang_w = _G4W * (2 * math.pi * 2.0 ** -j)
         n_cells = 1 << j
+        offsets = [float(g) for g in _G4X]
         dh = np.empty((4, 4, n_cells))
         for ri, r in enumerate(r_nodes):
-            for gi, g in enumerate(_G4X):
-                hz, hzb = self._slice_derivatives(float(r), j, float(g))
-                dh[ri, gi] = np.abs(hz) + np.abs(hzb)
+            hz, hzb = self._slice_derivatives(float(r), j, offsets)
+            dh[ri] = np.abs(hz) + np.abs(hzb)
         self._samples[j] = (dh, r_nodes, wr, ang_w)
         return self._samples[j]
 

@@ -203,6 +203,18 @@ def test_fourier_coefficients_of_a_rotation(fleet, name):
                                rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("name", ["pl_kinked", "staircase_s2"])
+def test_coefficients_at_any_frequencies_match_the_full_range(fleet, name):
+    m = fleet[name]
+    full = m.fourier_coefficients(371)
+    ks = np.array([371, -5, 0, 200, -371, 38])
+    np.testing.assert_array_equal(m.fourier_coefficients_at(ks),
+                                  full[ks + 371])
+    for K in (38, 53, 93, 186):
+        np.testing.assert_array_equal(m.fourier_coefficients(K),
+                                      full[371 - K:371 + K + 1])
+
+
 def test_staircase_breakpoints_reproduce_the_lift(fleet):
     m = fleet["staircase_s2"]
     xs, ys = m.lift.breakpoints()

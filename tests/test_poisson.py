@@ -152,6 +152,26 @@ def test_point_values_do_not_depend_on_call_order(fleet):
                                   fresh.wirtinger(z))
 
 
+@pytest.mark.parametrize("name", ["pl_kinked", "staircase_s2"])
+def test_growing_series_keeps_exact_coefficients(fleet, name):
+    # each larger K computes only the new frequencies and splices them
+    # around the c_k already held; the result must be what a fresh
+    # extension computes at the final K in one go
+    def point_needing(K):
+        # K = int(37 / (1 - |z|)) + 1 terms
+        return np.array([1.0 - 37.0 / (K - 0.5) + 0j])
+
+    grown = PoissonExtension(fleet[name])
+    for K in (38, 53, 93, 186, 371):
+        grown.extend(point_needing(K))
+        assert grown._point_coeffs.size == 2 * K + 1
+    fresh = PoissonExtension(fleet[name])
+    fresh.extend(point_needing(371))
+    np.testing.assert_array_equal(grown._point_coeffs, fresh._point_coeffs)
+    np.testing.assert_array_equal(grown._point_coeffs,
+                                  fleet[name].fourier_coefficients(371))
+
+
 # --------------------------------------------------------- bulk sampling
 
 def test_slice_samples_match_pointwise(ext_pl):
