@@ -6,7 +6,10 @@ gauge_pair_energy ("U"):
     int int Phi_{p,lam}( |phi(xi)-phi(eta)| / |xi-eta| ) |xi-eta|^alpha,
   computed by splitting the off-diagonal set into dyadic rings
   A_j = { arc distance in (pi 2^-j, pi 2^(1-j)] } and midpoint quadrature
-  per ring; ring sums play the role of dyadic levels.
+  per ring; ring sums play the role of dyadic levels.  The quadrature
+  sizes ``n_outer`` and ``n_inner`` are powers of two, so every node is a
+  dyadic point k 2^-e and the map is read from its table of values there
+  (``CircleMap.dyadic_values``), the one the |Dh| stage reads too.
 
 inverse_kernel_energy ("V"):
     int ( int A(|phi^-1 xi - phi^-1 eta|) |d eta| )^(p-1) |d xi|,
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import hyp1f1
 
-from .circle_map import CircleMap
+from .circle_map import CircleMap, log2_exact
 from .errors import DomainError
 from .orlicz import OrliczSpec, phi
 from .report import EnergyParams, EnergyReport, finalize
@@ -99,9 +102,12 @@ def _kernel_eval(p: float, alpha: float, lam: float,
 
 # ---------------------------------------------------------- ring geometry
 
-def _chord(d):
-    """Chord length between circle points at turn-distance d."""
-    return 2.0 * np.abs(np.sin(np.pi * np.asarray(d, dtype=float)))
+def _chord(d: np.ndarray) -> np.ndarray:
+    """Chord length 2 sin(pi d) at turn-distances d in [0, 1/2], in place."""
+    d *= np.pi
+    np.sin(d, out=d)
+    d *= 2.0
+    return d
 
 
 @dataclass
@@ -111,6 +117,10 @@ class PairGeometry:
     The map-only stage of U: the geometry depends only on the map and the
     quadrature spec, while Phi and the exponents do not touch it, so one
     geometry serves every parameter point (``evaluate_gauge_pair``).
+
+    Ring j reads the map's dyadic table at e = max(log2 n_out + 1,
+    j + log2 n_inner + 2), which must stay within the table's budget of
+    2^22 values: with ``n_inner`` = 32 that allows 15 rings.
     """
 
     description: str       # the map's description
@@ -126,28 +136,37 @@ class PairGeometry:
               n_inner: int = 32, diagonal_rings: int = 12) -> "PairGeometry":
         if diagonal_rings < 1:
             raise DomainError("diagonal_rings must be >= 1")
+        log2_exact(n_outer, "n_outer")
+        b = log2_exact(n_inner, "n_inner")
         rings, chords, imchords, weights = [], [], [], []
         for j in range(1, diagonal_rings + 1):
             # the integrand varies at the offset scale 2^-j, so the outer
             # grid must refine with the ring or deep rings of maps with
             # fine structure (staircases) are aliased
             n_out = min(max(n_outer, 8 << j), 1 << 15)
-            x = (np.arange(n_out) + 0.5) / n_out
-            ux = circle_map.eval(x)
-            band_lo = 2.0 ** -(j + 1)
-            band_w = 2.0 ** -(j + 1)
-            offs = band_lo + (np.arange(n_inner) + 0.5) * band_w / n_inner
-            offs = np.concatenate([offs, -offs])
-            w = band_w / n_inner / n_out
-            y = (x[:, None] + offs[None, :]) % 1.0
-            uy = circle_map.eval(y)
-            d_source = np.minimum(np.abs(offs), 1.0 - np.abs(offs))
-            du = np.abs(uy - ux[:, None])
-            du = np.minimum(du, 1.0 - du)
+            # the outer nodes (i + 1/2) / n_out and the offsets
+            # +-2^-(j+1) (1 + (m + 1/2) / n_inner) are odd multiples of
+            # 2^-e, so node + offset mod 1 is exactly k 2^-e with
+            # k = (k_x + k_off) mod 2^e
+            e = max(n_out.bit_length(), j + b + 2)
+            values = circle_map.dyadic_values(e)
+            k_x = np.arange(1, 2 * n_out, 2,
+                            dtype=np.int32) << (e - n_out.bit_length())
+            k_off = np.arange(2 * n_inner + 1, 4 * n_inner, 2,
+                              dtype=np.int32) << (e - j - b - 2)
+            k_off = np.concatenate([k_off, -k_off])
+            d_source = np.abs(k_off) / (1 << e)
+            k_y = k_x[:, None] + k_off[None, :]
+            k_y &= (1 << e) - 1
+            du = values[k_y]
+            del k_y
+            du -= values[k_x][:, None]
+            np.abs(du, out=du)
+            np.minimum(du, 1.0 - du, out=du)
             rings.append(j)
-            chords.append(_chord(d_source))
+            chords.append(_chord(np.minimum(d_source, 1.0 - d_source)))
             imchords.append(_chord(du))
-            weights.append(w)
+            weights.append(2.0 ** -(j + 1) / n_inner / n_out)
         return cls(description=circle_map.description, n_outer=n_outer,
                    n_inner=n_inner, rings=rings, chords=chords,
                    image_chords=imchords, weights=weights)
@@ -172,8 +191,11 @@ def evaluate_gauge_pair(geom: PairGeometry,
     for chords, imchords, w in zip(geom.chords, geom.image_chords,
                                    geom.weights):
         # source offsets are >= 2^-(j+1), so no chord is 0
-        integrand = phi(spec, imchords / chords) * chords ** params.alpha
-        per_ring.append(scale * float(np.sum(integrand * w)))
+        integrand = phi(spec, imchords / chords)
+        integrand *= chords ** params.alpha
+        integrand *= w
+        per_ring.append(scale * float(np.sum(integrand)))
+        del integrand      # before the next ring's ratios and Phi buffers
     rep = EnergyReport(functional="gauge_pair", params=params,
                        levels=geom.rings, per_level=np.asarray(per_ring),
                        value=float(np.sum(per_ring)))

@@ -12,12 +12,21 @@ which give the Fourier coefficients of the map in closed form
 Inversion uses bisection; when the requested value sits on a plateau the
 midpoint of the plateau is returned, so ``invert`` is a genuine monotone
 right inverse even for degenerate maps.
+
+The sample stages read the map only at dyadic points k 2^-e, so the map
+owns one table of its values there (``dyadic_values``): built on first
+use, grown by evaluating only the new odd k, and read at a coarser e as a
+strided view.  Since k 2^-e is exact in floating point and ``eval`` is
+elementwise, an entry is bit for bit ``eval(k / 2^e)``.  Arguments are
+checked once, at the public entry points (``lift_eval``, ``eval``,
+``invert``), which refuse non-finite points; ``_lift``, the lift and its
+output clip, is what they and the bisection loop share.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,6 +68,19 @@ def _as_array(t):
     return arr, arr.shape == ()
 
 
+def log2_exact(n: int, name: str) -> int:
+    """e with n = 2^e; DomainError unless n is a positive power of two."""
+    if not (isinstance(n, (int, np.integer)) and n > 0 and n & (n - 1) == 0):
+        raise DomainError(f"{name} must be a positive power of two, "
+                          f"got {n!r}")
+    return int(n).bit_length() - 1
+
+
+def _check_finite(arr: np.ndarray, what: str):
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what} needs finite points")
+
+
 @dataclass
 class CircleMap:
     """A circle map given by a normalized lift and a rotation offset.
@@ -71,6 +93,10 @@ class CircleMap:
     rotation: float = 0.0
     eval_tolerance: float = 1e-10
     description: str = "custom"
+    # eval(k / size) for k = 0..size-1, size a power of two; built on first
+    # use by dyadic_values
+    _table: np.ndarray | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         if not callable(getattr(self.lift, "breakpoints", None)):
@@ -87,21 +113,49 @@ class CircleMap:
 
     # ---------------------------------------------------------------- eval
 
+    def _lift(self, arr: np.ndarray) -> np.ndarray:
+        """u on an array already in [0,1]: the lift, clipped to [0,1]."""
+        return np.clip(np.asarray(self.lift(arr), dtype=float), 0.0, 1.0)
+
     def lift_eval(self, t):
         """Normalized lift u(t) for t in [0,1] (scalar or array)."""
         arr, scalar = _as_array(t)
-        if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
+        # written so that NaN fails it too
+        if not np.all((arr >= -1e-12) & (arr <= 1 + 1e-12)):
             raise DomainError("lift argument outside [0,1]")
-        arr = np.clip(arr, 0.0, 1.0)
-        out = np.clip(np.asarray(self.lift(arr), dtype=float), 0.0, 1.0)
+        out = self._lift(np.clip(arr, 0.0, 1.0))
         return float(out) if scalar else out
 
     def eval(self, t):
         """Image position in turns: (u(t mod 1) + rotation) mod 1."""
         arr, scalar = _as_array(t)
-        frac = np.mod(arr, 1.0)
-        out = np.mod(self.lift_eval(frac) + self.rotation, 1.0)
+        _check_finite(arr, "eval")
+        out = np.mod(self._lift(np.mod(arr, 1.0)) + self.rotation, 1.0)
         return float(out) if scalar else out
+
+    def dyadic_values(self, e: int) -> np.ndarray:
+        """eval(k 2^-e) for k = 0..2^e - 1, read from the map's table.
+
+        The table grows one level at a time, evaluating only the new odd k;
+        a level below the table's is a strided view of it.  The result is
+        read-only and equals ``eval(np.arange(2^e) / 2^e)`` bit for bit.
+        """
+        if not (isinstance(e, (int, np.integer)) and e >= 0):
+            raise DomainError(f"need an integer level e >= 0, got {e!r}")
+        if 1 << e > MAX_LEVEL_CELLS:
+            raise LabError(f"2^{e} dyadic values > budget {MAX_LEVEL_CELLS}")
+        table = self._table
+        if table is None:
+            table = self.eval(np.zeros(1))
+        while table.size < 1 << e:
+            n = table.size
+            grown = np.empty(2 * n)
+            grown[0::2] = table
+            grown[1::2] = self.eval(np.arange(1, 2 * n, 2) / (2 * n))
+            table = grown
+        table.flags.writeable = False
+        self._table = table
+        return table[::table.size >> e]
 
     def fourier_coefficients(self, K: int) -> np.ndarray:
         """c_k of exp(2 pi i (u(t) + rho)) for k = -K..K, index k + K."""
@@ -146,6 +200,7 @@ class CircleMap:
             raise DomainError(f"tol must be a positive finite number, "
                               f"got {tol}")
         arr, scalar = _as_array(y)
+        _check_finite(arr, "invert")
         target = np.mod(arr - self.rotation, 1.0)
 
         left = self._bisect_smallest(target, tol)
@@ -166,7 +221,7 @@ class CircleMap:
         n_iter = min(_MAX_BISECTIONS, int(np.ceil(-np.log2(tol))) + 2)
         for _ in range(n_iter):
             mid = 0.5 * (lo + hi)
-            vals = self.lift_eval(mid)
+            vals = self._lift(mid)
             if strict:
                 take_hi = vals > target
             else:

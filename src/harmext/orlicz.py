@@ -57,12 +57,23 @@ class OrliczSpec:
 
 
 def phi(spec: OrliczSpec, t):
-    """Phi(t) = t^p log^lambda(e + t) for t >= 0."""
+    """Phi(t) = t^p log^lambda(e + t) for t >= 0.
+
+    An array is computed in place, in two buffers of its size.
+    """
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0):
         raise DomainError("gauge argument must be >= 0")
-    out = arr ** spec.p * np.log(_E + arr) ** spec.lam
-    return float(out) if arr.shape == () else out
+    if arr.shape == ():
+        # numpy's scalar ** can round differently from its array loop, so
+        # a scalar keeps the scalar expression and its bits
+        return float(arr ** spec.p * np.log(_E + arr) ** spec.lam)
+    out = arr ** spec.p
+    log_term = _E + arr
+    np.log(log_term, out=log_term)
+    log_term **= spec.lam
+    out *= log_term
+    return out
 
 
 def phi_prime(spec: OrliczSpec, t):

@@ -53,7 +53,10 @@ reused across parameter points: a ``PoissonExtension`` is the map-only
 stage of I1 and I2 (the FFT coefficients, about 32 MB at level 14, and
 the per-level samples), and the ``energy`` and ``sweep`` commands build
 one per command (``cli.STAGES``) and evaluate every parameter point
-against it.
+against it.  The boundary samples come from the map's table of dyadic
+values (``CircleMap.dyadic_values``), which the pair stage shares, so
+the coefficient grids 2^14 to 2^21 of successive levels evaluate each
+point of the map once, and the grid sizes are powers of two.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .circle_map import CircleMap
+from .circle_map import CircleMap, log2_exact
 from .errors import DomainError, PrecisionError
 from .orlicz import OrliczSpec, phi
 from .report import EnergyParams, EnergyReport, finalize
@@ -109,15 +112,18 @@ class PoissonExtension:
     # ----------------------------------------------------------- boundary
 
     def boundary_values(self, n: int) -> np.ndarray:
-        t = np.arange(n) / n
-        return np.exp(2j * np.pi * self.boundary.eval(t))
+        """phi(exp(2 pi i k/n)), k = 0..n-1, n a positive power of two."""
+        out = np.multiply(self.boundary.dyadic_values(log2_exact(n, "n")),
+                          2j * np.pi)
+        return np.exp(out, out=out)
 
     # ---------------------------------------------------------- pointwise
 
     def _check_inside(self, z: np.ndarray):
-        if np.any(np.abs(z) > 1.0 - 1e-9):
-            raise DomainError("evaluation point too close to the boundary "
-                              "(need |z| <= 1 - 1e-9)")
+        # written so that NaN fails it too
+        if not np.all(np.abs(z) <= 1.0 - 1e-9):
+            raise DomainError("evaluation point not finite or too close to "
+                              "the boundary (need |z| <= 1 - 1e-9)")
 
     def _series_coeffs(self, z: np.ndarray):
         """(c_0, c_1..c_K, c_-1..c_-K) for the K the points need."""
@@ -204,7 +210,10 @@ class PoissonExtension:
         m = min(max(1 << 14, 1 << (max(length, 1) - 1).bit_length()),
                 _MAX_COEFF_LEN)
         if self._coeffs is None or self._coeffs.size != m:
-            self._coeffs = np.fft.fft(self.boundary_values(m)) / m
+            self._coeffs = None     # free the old grid first
+            coeffs = np.fft.fft(self.boundary_values(m))
+            coeffs /= m
+            self._coeffs = coeffs
         return self._coeffs
 
     def _slice_derivatives(self, r: float, j: int, offsets):
@@ -256,6 +265,8 @@ class PoissonExtension:
         Returns (dh, r_nodes, radial_weights, angular_weight) where dh has
         shape (4, 4, 2^j): radial node x angular offset x cell.
         """
+        if j < 1:
+            raise DomainError(f"level must be >= 1, got {j}")
         if j in self._samples:
             return self._samples[j]
         r_min = max(0.0, 1.0 - 2.0 ** (1 - j))

@@ -176,6 +176,51 @@ def test_inverse_kernel_respects_plateau_inverse():
     assert np.isfinite(rep.value) and rep.value > 0
 
 
+# ---------------------------------------------------------- pair geometry
+
+def float_node_pair_build(m, n_outer, n_inner, rings):
+    """The pair geometry from float nodes and (x + offset) % 1.0."""
+    chords, image_chords, weights = [], [], []
+    for j in range(1, rings + 1):
+        n_out = min(max(n_outer, 8 << j), 1 << 15)
+        x = (np.arange(n_out) + 0.5) / n_out
+        band = 2.0 ** -(j + 1)
+        offs = band + (np.arange(n_inner) + 0.5) * band / n_inner
+        offs = np.concatenate([offs, -offs])
+        ux = m.eval(x)
+        uy = m.eval((x[:, None] + offs[None, :]) % 1.0)
+        du = np.abs(uy - ux[:, None])
+        du = np.minimum(du, 1.0 - du)
+        d = np.minimum(np.abs(offs), 1.0 - np.abs(offs))
+        chords.append(2.0 * np.abs(np.sin(np.pi * d)))
+        image_chords.append(2.0 * np.abs(np.sin(np.pi * du)))
+        weights.append(band / n_inner / n_out)
+    return chords, image_chords, weights
+
+
+@pytest.mark.parametrize("spec", [(256, 32, 14), (32, 4, 4)])
+@pytest.mark.parametrize("name", ["identity", "rotation", "pl_mild",
+                                  "pl_kinked", "staircase_s2"])
+def test_pair_geometry_equals_the_float_node_build(fleet, name, spec):
+    geom = boundary.PairGeometry.build(fleet[name], *spec)
+    want = float_node_pair_build(fleet[name], *spec)
+    got = (geom.chords, geom.image_chords, geom.weights)
+    assert geom.rings == list(range(1, spec[2] + 1))
+    for field, a, b in zip(("chords", "image_chords", "weights"), got, want):
+        assert len(a) == len(b) == spec[2]
+        for j, (x, y) in enumerate(zip(a, b), start=1):
+            assert np.array_equal(x, y), (field, j)
+
+
+@pytest.mark.parametrize("kw", [dict(n_inner=0), dict(n_inner=24),
+                                dict(n_inner=32.0), dict(n_outer=0),
+                                dict(n_outer=-256), dict(n_outer=100)])
+def test_pair_geometry_needs_power_of_two_resolutions(kw):
+    with pytest.raises(DomainError, match="power of two"):
+        boundary.PairGeometry.build(circle_map.identity(), diagonal_rings=2,
+                                    **kw)
+
+
 # ------------------------------------------------------ object identity
 
 def test_energies_are_the_maps_own_on_reused_ids():

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from harmext import circle_map
 from harmext.cantor import make_staircase_map
-from harmext.errors import DomainError
+from harmext.errors import DomainError, LabError
+
+from conftest import build_fleet
 
 PL = ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0))
 
@@ -43,6 +45,50 @@ def test_eval_domain_error():
 def test_eval_wraps_mod_one():
     m = circle_map.rotation_map(0.75)
     assert m.eval(0.5) == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("method", ["eval", "lift_eval", "invert"])
+def test_non_finite_points_are_refused(method, bad):
+    call = getattr(circle_map.piecewise_linear(PL), method)
+    with pytest.raises(DomainError):
+        call(bad)
+    with pytest.raises(DomainError):
+        call(np.array([0.25, bad]))
+
+
+# ---------------------------------------------------------- dyadic table
+
+DYADIC_LEVELS = (3, 21, 10, 14, 18)
+
+
+@pytest.mark.parametrize("name", ["identity", "rotation", "pl_mild",
+                                  "pl_kinked", "staircase_s2"])
+def test_dyadic_values_are_eval_in_any_order(fleet, name):
+    # each order starts from a fresh map, so the table grows differently
+    want = {e: fleet[name].eval(np.arange(1 << e) / (1 << e))
+            for e in DYADIC_LEVELS}
+    for order in (DYADIC_LEVELS, DYADIC_LEVELS[::-1]):
+        m = build_fleet()[name]
+        for e in order:
+            assert np.array_equal(m.dyadic_values(e), want[e]), (order, e)
+
+
+def test_dyadic_values_are_read_only():
+    vals = circle_map.piecewise_linear(PL).dyadic_values(4)
+    with pytest.raises(ValueError):
+        vals[0] = 0.5
+
+
+@pytest.mark.parametrize("e", [-1, 2.0, None])
+def test_dyadic_values_reject_bad_levels(e):
+    with pytest.raises(DomainError):
+        circle_map.identity().dyadic_values(e)
+
+
+def test_dyadic_values_say_when_over_budget():
+    with pytest.raises(LabError, match="budget"):
+        circle_map.identity().dyadic_values(23)
 
 
 # ---------------------------------------------------------------- invert

@@ -39,6 +39,19 @@ def test_phi_log_argument_value():
         expected, rel=1e-13)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("lam", [-1.5, -0.5, 0.0, 0.5, 1.0, 2.0])
+def test_phi_in_place_equals_the_plain_expression(p, lam):
+    spec = orlicz.OrliczSpec(p, lam)
+    t = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 4001)])
+    assert np.array_equal(orlicz.phi(spec, t),
+                          t ** p * np.log(math.e + t) ** lam)
+    for s in (0.0, 1e-3, 0.7, 3.0, 1e5):
+        a = np.asarray(s)
+        assert np.array_equal(orlicz.phi(spec, s),
+                              a ** p * np.log(math.e + a) ** lam)
+
+
 def test_phi_rejects_negative_argument():
     with pytest.raises(DomainError):
         orlicz.phi(orlicz.OrliczSpec(2.0, 0.0), -1.0)

@@ -50,6 +50,31 @@ def test_extension_rejects_boundary_points(ext_identity):
         ext_identity.extend(0.999999999999)
 
 
+@pytest.mark.parametrize("mode", ["analytic_kernel", "finite_difference"])
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf),
+                                 complex(-math.inf, 0.0)])
+def test_extension_rejects_non_finite_points(mode, bad):
+    ext = PoissonExtension(circle_map.piecewise_linear(PL),
+                           derivative_mode=mode)
+    for call in (ext.extend, ext.wirtinger):
+        with pytest.raises(DomainError):
+            call(bad)
+        with pytest.raises(DomainError):
+            call(np.array([0.3, bad]))
+
+
+@pytest.mark.parametrize("n", [0, -4, 3, 100, 2.0 ** 10])
+def test_boundary_values_need_a_power_of_two(ext_pl, n):
+    with pytest.raises(DomainError):
+        ext_pl.boundary_values(n)
+
+
+def test_level_samples_need_a_positive_level(ext_pl):
+    for j in (0, -1):
+        with pytest.raises(DomainError):
+            ext_pl.level_samples(j)
+
+
 def test_rejects_unknown_derivative_mode():
     with pytest.raises(DomainError):
         PoissonExtension(circle_map.identity(), derivative_mode="spectral")
