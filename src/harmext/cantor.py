@@ -46,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle_map import CircleMap
+from .circle_map import CircleMap, PiecewiseLinearLift
 from .errors import (ConstructionError, DepthBudgetError, DomainError)
 
 _HALF = Fraction(1, 2)
@@ -244,13 +244,13 @@ def f_eval(tree: StaircaseTree, x, tol: float) -> float:
 
 # -------------------------------------------------------------- the lift
 
-class StaircaseLift:
+class StaircaseLift(PiecewiseLinearLift):
     """Lift g = (f + id)/2 of the staircase map, with fast dyadic sums.
 
-    Float evaluation interpolates the plateau endpoints linearly (exact on
-    plateaus, affine across unresolved gaps), which is the step-n
-    approximant of the limit; the depth used for the float tables stops
-    when margins leave float resolution.
+    The breakpoints are the plateau endpoints of the first ``float_depth``
+    steps, whose margins stay within float resolution: interpolating them
+    is exact on those plateaus and affine across the gaps between them,
+    which is the step-``float_depth`` approximant of the limit.
     """
 
     def __init__(self, tree: StaircaseTree):
@@ -271,24 +271,15 @@ class StaircaseLift:
                 pts.append((float(lo), v))
                 pts.append((float(hi), v))
         pts.sort()
-        self._xs = np.array([q[0] for q in pts])
-        self._fs = np.array([q[1] for q in pts])
+        xs = np.array([q[0] for q in pts])
+        fs = np.array([q[1] for q in pts])
+        super().__init__(xs, 0.5 * (fs + xs))
 
     @property
-    def eval_error_bound(self) -> float:
-        return 2.0 ** -(self.float_depth + 1)
-
-    def staircase(self, t):
-        """Float staircase values (vectorized)."""
-        return np.interp(np.asarray(t, dtype=float), self._xs, self._fs)
-
-    def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        return 0.5 * (self.staircase(arr) + arr)
-
-    def breakpoints(self):
-        """The plateau endpoints; the float lift is linear between them."""
-        return self._xs, 0.5 * (self._fs + self._xs)
+    def eval_tolerance(self) -> float:
+        """Twice the gap 2^-(float_depth+1) between the float lift and the
+        limit staircase."""
+        return 2.0 ** -self.float_depth
 
     # structure-aware dyadic increments -------------------------------
 
@@ -343,10 +334,9 @@ def make_staircase_map(kind: str, parameter: float, depth: int) -> CircleMap:
     and has value 1/2."""
     schedule = build_schedule(kind, parameter, depth)
     tree = build_tree(schedule)
-    lift = StaircaseLift(tree)
     name = "cantor_log" if kind == "power" else "cantor_loglog"
     key = "s" if kind == "power" else "p"
-    return CircleMap(lift=lift, eval_tolerance=lift.eval_error_bound * 2,
+    return CircleMap(lift=StaircaseLift(tree),
                      description=f"{name}:{key}={parameter:g},depth={depth}")
 
 

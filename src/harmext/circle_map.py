@@ -3,11 +3,13 @@
 A sense-preserving circle map is stored as a lift ``u : [0,1] -> [0,1]``
 with ``u(0) = 0`` and ``u(1) = 1`` (angles measured in turns) together with a
 rotation offset ``rho``; the map itself sends ``exp(2 pi i t)`` to
-``exp(2 pi i (u(t) + rho))``.  The lift is required to be nondecreasing, so
-plateau maps (limits of homeomorphisms, e.g. devil-staircase boundary data)
-are admissible.  Every lift is piecewise linear and reports its breakpoints,
-which give the Fourier coefficients of the map in closed form
-(``fourier_coefficients``).
+``exp(2 pi i (u(t) + rho))``.  Every lift is a ``PiecewiseLinearLift``: the
+breakpoints (xs, ys) that it interpolates linearly, checked once and
+exactly where they are made.  The lift is nondecreasing, so plateau maps
+(limits of homeomorphisms, e.g. devil-staircase boundary data) are
+admissible.  The breakpoints give the Fourier coefficients of the map in
+closed form (``fourier_coefficients``); the staircase lift of ``cantor``
+is a subclass that adds exact dyadic increments.
 
 Inversion uses bisection; when the requested value sits on a plateau the
 midpoint of the plateau is returned, so ``invert`` is a genuine monotone
@@ -19,15 +21,15 @@ use, grown by evaluating only the new odd k, and read at a coarser e as a
 strided view.  Since k 2^-e is exact in floating point and ``eval`` is
 elementwise, an entry is bit for bit ``eval(k / 2^e)``.  Arguments are
 checked once, at the public entry points (``lift_eval``, ``eval``,
-``invert``), which refuse non-finite points; ``_lift``, the lift and its
-output clip, is what they and the bisection loop share.
+``invert``), which refuse non-finite points; ``_lift``, the interpolation
+itself, is what they and the bisection loop share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,8 +38,6 @@ from .errors import DomainError, LabError
 # Hard cap on the number of dyadic cells enumerated explicitly at one level.
 MAX_LEVEL_CELLS = 2 ** 22
 
-_MONOTONE_CHECK_POINTS = 4097
-_MONOTONE_SLACK = 1e-12
 _MAX_BISECTIONS = 200
 _COEFF_BLOCK = 1 << 16        # pieces x frequencies evaluated at once
 
@@ -81,17 +81,46 @@ def _check_finite(arr: np.ndarray, what: str):
         raise DomainError(f"{what} needs finite points")
 
 
-@dataclass
-class CircleMap:
-    """A circle map given by a normalized lift and a rotation offset.
+class PiecewiseLinearLift:
+    """The lift that interpolates its breakpoints (xs, ys) linearly.
 
-    ``lift`` is a callable with a ``breakpoints()`` method returning the
-    nodes (xs, ys) that it interpolates linearly.
+    The arrays are checked here, once and exactly: finite, of one length
+    >= 2, xs strictly increasing and ys nondecreasing, from (0, 0) to
+    (1, 1).  They are copied and made read-only, so the check keeps
+    holding.
     """
 
-    lift: Callable[[np.ndarray], np.ndarray]
+    # how far the float lift may sit from the map it stands for: a
+    # piecewise-linear map is its own lift, so only rounding
+    eval_tolerance = 1e-10
+
+    def __init__(self, xs, ys):
+        xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
+        if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
+            raise DomainError("breakpoints need xs and ys of one length, "
+                              "at least the two endpoints")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise DomainError("breakpoint values must be finite")
+        if np.any(np.diff(xs) <= 0):
+            raise DomainError("breakpoint x values must be strictly "
+                              "increasing")
+        if np.any(np.diff(ys) < 0):
+            raise DomainError("breakpoint y values must be nondecreasing")
+        if (xs[0], ys[0], xs[-1], ys[-1]) != (0.0, 0.0, 1.0, 1.0):
+            raise DomainError(
+                f"lift must fix 0 and 1: breakpoints run from "
+                f"({xs[0]!r}, {ys[0]!r}) to ({xs[-1]!r}, {ys[-1]!r}), "
+                f"not from (0, 0) to (1, 1)")
+        xs.flags.writeable = ys.flags.writeable = False
+        self.xs, self.ys = xs, ys
+
+
+@dataclass
+class CircleMap:
+    """A circle map given by a normalized lift and a rotation offset."""
+
+    lift: PiecewiseLinearLift
     rotation: float = 0.0
-    eval_tolerance: float = 1e-10
     description: str = "custom"
     # eval(k / size) for k = 0..size-1, size a power of two; built on first
     # use by dyadic_values
@@ -99,23 +128,31 @@ class CircleMap:
                                       compare=False)
 
     def __post_init__(self):
-        if not callable(getattr(self.lift, "breakpoints", None)):
-            raise DomainError("lift must provide breakpoints() -> (xs, ys), "
-                              "the nodes it interpolates linearly")
+        if not isinstance(self.lift, PiecewiseLinearLift):
+            raise DomainError("lift must be a PiecewiseLinearLift, the "
+                              "breakpoints (xs, ys) it interpolates linearly")
+        # the lift's arrays fix 0 and 1; this reads them back through the
+        # evaluation path, identity shortcut included
         u = self.lift_eval(np.array([0.0, 1.0]))
         if abs(u[0]) > 1e-12 or abs(u[1] - 1.0) > 1e-12:
             raise DomainError(
                 f"lift must fix 0 and 1 (got u(0)={u[0]!r}, u(1)={u[1]!r})")
-        grid = np.linspace(0.0, 1.0, _MONOTONE_CHECK_POINTS)
-        vals = self.lift_eval(grid)
-        if np.any(np.diff(vals) < -_MONOTONE_SLACK):
-            raise DomainError("lift is not nondecreasing")
+
+    @property
+    def eval_tolerance(self) -> float:
+        """How far the float lift may sit from the map it stands for."""
+        return self.lift.eval_tolerance
 
     # ---------------------------------------------------------------- eval
 
     def _lift(self, arr: np.ndarray) -> np.ndarray:
-        """u on an array already in [0,1]: the lift, clipped to [0,1]."""
-        return np.clip(np.asarray(self.lift(arr), dtype=float), 0.0, 1.0)
+        """u on an array already in [0,1]."""
+        xs, ys = self.lift.xs, self.lift.ys
+        if xs.size == 2:
+            # (0, 0) to (1, 1) is the identity; a two-point np.interp would
+            # cost the bisection of ``invert`` fifteen times as much
+            return arr
+        return np.interp(arr, xs, ys)
 
     def lift_eval(self, t):
         """Normalized lift u(t) for t in [0,1] (scalar or array)."""
@@ -174,7 +211,7 @@ class CircleMap:
         which other frequencies are asked for alongside it.
         """
         ks = np.asarray(ks)
-        xs, ys = (np.asarray(a, dtype=float) for a in self.lift.breakpoints())
+        xs, ys = self.lift.xs, self.lift.ys
         dx, dy = np.diff(xs), np.diff(ys)
         xm, ym = (xs[:-1] + xs[1:]) / 2, (ys[:-1] + ys[1:]) / 2
         out = np.empty(ks.size, dtype=complex)
@@ -232,25 +269,11 @@ class CircleMap:
 
     # ------------------------------------------------------- dyadic images
 
-    def arc_image_length(self, j: int, k: int) -> float:
-        """Arc length of the image of the k-th dyadic boundary arc at level j.
-
-        The source arc is [2 pi (k-1) 2^-j, 2 pi k 2^-j]; its image length is
-        2 pi (u(k 2^-j) - u((k-1) 2^-j)).
-        """
-        if j < 1:
-            raise DomainError(f"level must be >= 1, got {j}")
-        if not (1 <= k <= 2 ** j):
-            raise DomainError(f"arc index {k} outside 1..2^{j}")
-        a = (k - 1) * 2.0 ** -j
-        b = k * 2.0 ** -j
-        return 2 * np.pi * (self.lift_eval(b) - self.lift_eval(a))
-
     def level_increments(self, j: int) -> LevelIncrements:
         """Lift increments over all dyadic arcs of level j.
 
-        Uses the structure-aware path when the lift provides one (staircase
-        lifts), otherwise enumerates all 2^j cells subject to the budget.
+        Uses the exact dyadic sums of a staircase lift, otherwise
+        enumerates all 2^j cells subject to the budget.
         """
         if j < 1:
             raise DomainError(f"level must be >= 1, got {j}")
@@ -270,56 +293,26 @@ class CircleMap:
 
 # ------------------------------------------------------------ constructors
 
-class _IdentityLift:
-    def __call__(self, t):
-        return t
-
-    def breakpoints(self):
-        return np.array([0.0, 1.0]), np.array([0.0, 1.0])
-
-
-class _PiecewiseLinearLift:
-    def __init__(self, xs, ys):
-        self.xs = np.asarray(xs, dtype=float)
-        self.ys = np.asarray(ys, dtype=float)
-
-    def __call__(self, t):
-        return np.interp(t, self.xs, self.ys)
-
-    def breakpoints(self):
-        return self.xs, self.ys
-
-
 def identity() -> CircleMap:
-    return CircleMap(lift=_IdentityLift(), description="identity")
+    return CircleMap(lift=PiecewiseLinearLift([0.0, 1.0], [0.0, 1.0]),
+                     description="identity")
 
 
 def rotation_map(rho: float) -> CircleMap:
-    return CircleMap(lift=_IdentityLift(), rotation=float(rho),
-                     description=f"rotation:{rho}")
+    return CircleMap(lift=PiecewiseLinearLift([0.0, 1.0], [0.0, 1.0]),
+                     rotation=float(rho), description=f"rotation:{rho}")
 
 
 def piecewise_linear(breakpoints: Sequence[tuple[float, float]]) -> CircleMap:
     """Circle map whose lift linearly interpolates (x_i, y_i) breakpoints.
 
-    The breakpoints must start at (0,0), end at (1,1), have strictly
-    increasing x and nondecreasing y.
+    The breakpoints are taken in order of x and must start at (0,0), end
+    at (1,1), have strictly increasing x and nondecreasing y.
     """
     pts = sorted((float(x), float(y)) for x, y in breakpoints)
-    if len(pts) < 2:
-        raise DomainError("need at least the two endpoint breakpoints")
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    if abs(xs[0]) > 1e-12 or abs(xs[-1] - 1) > 1e-12:
-        raise DomainError("breakpoint x-range must be exactly [0,1]")
-    if abs(ys[0]) > 1e-12 or abs(ys[-1] - 1) > 1e-12:
-        raise DomainError("breakpoint y-range must be exactly [0,1]")
-    if np.any(np.diff(xs) <= 0):
-        raise DomainError("breakpoint x values must be strictly increasing")
-    if np.any(np.diff(ys) < 0):
-        raise DomainError("breakpoint y values must be nondecreasing")
+    lift = PiecewiseLinearLift([x for x, _ in pts], [y for _, y in pts])
     desc = "piecewise_linear:" + ";".join(f"{x:g},{y:g}" for x, y in pts)
-    return CircleMap(lift=_PiecewiseLinearLift(xs, ys), description=desc)
+    return CircleMap(lift=lift, description=desc)
 
 
 def _number(text: str, message: str) -> float:

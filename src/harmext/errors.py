@@ -36,4 +36,5 @@ class QuadratureOverflowError(LabError):
 
 
 class PrecisionError(LabError):
-    """Node doubling hit its cap before reaching the requested tolerance."""
+    """A point needs more series terms than ``extend`` and ``wirtinger``
+    allow (|z| too close to the boundary)."""

@@ -59,21 +59,21 @@ class OrliczSpec:
 def phi(spec: OrliczSpec, t):
     """Phi(t) = t^p log^lambda(e + t) for t >= 0.
 
-    An array is computed in place, in two buffers of its size.
+    An array is computed in place, in two buffers of its size.  A scalar
+    goes through the same array loop, since numpy's scalar ** can round
+    differently from it: a value does not depend on whether it was
+    computed alone or in an array.
     """
-    arr = np.asarray(t, dtype=float)
+    scalar = np.ndim(t) == 0
+    arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(arr < 0):
         raise DomainError("gauge argument must be >= 0")
-    if arr.shape == ():
-        # numpy's scalar ** can round differently from its array loop, so
-        # a scalar keeps the scalar expression and its bits
-        return float(arr ** spec.p * np.log(_E + arr) ** spec.lam)
     out = arr ** spec.p
     log_term = _E + arr
     np.log(log_term, out=log_term)
     log_term **= spec.lam
     out *= log_term
-    return out
+    return float(out[0]) if scalar else out
 
 
 def phi_prime(spec: OrliczSpec, t):

@@ -21,11 +21,8 @@ each cut at K = floor(37 / (1 - |z|_max)) + 1 terms, past which |z|^k is
 below 1e-16.  A point that needs more than 2^20 terms (|z| > 1 - 3.5e-5)
 raises PrecisionError naming its K.  The coefficients for the largest K
 asked so far are kept on the extension; a larger K computes only the new
-frequencies and splices them around the ones held.  Two derivative routes
-are kept deliberately independent and cross-checked in the tests:
-"analytic_kernel" sums the differentiated series above, while
-"finite_difference" applies central differences with step (1-|z|)/100 to
-``extend``.
+frequencies and splices them around the ones held.  The tests check
+h_z and h_zbar against central differences of ``extend``.
 
 The weighted Dirichlet-type integrals
 
@@ -98,16 +95,9 @@ def _tail_estimate(a_J: float, J: int, alpha: float, mu: float) -> float:
 @dataclass
 class PoissonExtension:
     boundary: CircleMap
-    derivative_mode: str = "analytic_kernel"
     _coeffs: np.ndarray | None = field(default=None, repr=False)
     _point_coeffs: np.ndarray | None = field(default=None, repr=False)
     _samples: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if self.derivative_mode not in ("analytic_kernel",
-                                        "finite_difference"):
-            raise DomainError(
-                f"unknown derivative mode {self.derivative_mode!r}")
 
     # ----------------------------------------------------------- boundary
 
@@ -163,39 +153,17 @@ class PoissonExtension:
         return complex(out[0]) if scalar else out
 
     def wirtinger(self, z):
-        """(h_z, h_zbar) via the configured derivative mode."""
+        """(h_z, h_zbar), the term-wise derivatives of the series."""
         arr = np.asarray(z, dtype=complex)
         scalar = arr.shape == ()
         arr = np.atleast_1d(arr)
         self._check_inside(arr)
-        if self.derivative_mode == "analytic_kernel":
-            hz, hzb = self._wirtinger_series(arr)
-        else:
-            hz, hzb = self._wirtinger_fd(arr)
+        _, pos, neg = self._series_coeffs(arr)
+        k = np.arange(1, pos.size + 1)
+        hz, hzb = polyval(arr, k * pos), polyval(np.conj(arr), k * neg)
         if scalar:
             return complex(hz[0]), complex(hzb[0])
         return hz, hzb
-
-    def _wirtinger_series(self, z):
-        _, pos, neg = self._series_coeffs(z)
-        k = np.arange(1, pos.size + 1)
-        return polyval(z, k * pos), polyval(np.conj(z), k * neg)
-
-    def _wirtinger_fd(self, z):
-        # fourth-order central differences: the second-order stencil is
-        # not accurate enough near the boundary where the higher
-        # derivatives of h grow like powers of 1/(1-|z|)
-        step = (1.0 - np.abs(z)) / 100.0
-
-        def deriv(direction):
-            return (8.0 * (self.extend(z + direction * step)
-                           - self.extend(z - direction * step))
-                    - (self.extend(z + 2 * direction * step)
-                       - self.extend(z - 2 * direction * step))) \
-                / (12.0 * step)
-
-        hx, hy = deriv(1.0), deriv(1j)
-        return 0.5 * (hx - 1j * hy), 0.5 * (hx + 1j * hy)
 
     def derivative_norm(self, z):
         """|Dh| = |h_z| + |h_zbar| (operator norm of the differential)."""

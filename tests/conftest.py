@@ -4,9 +4,11 @@ The fleet is the standing cast used by the comparability studies: the
 identity, a rotation, two piecewise-linear homeomorphisms (one mild, one
 with three kinks), and a staircase map.  Poisson extensions carry large
 per-level caches, so one extension per map is built lazily and shared
-across the whole session.
+across the whole session.  ``wirtinger_fd`` is the finite-difference
+oracle for the series derivatives of an extension.
 """
 
+import numpy as np
 import pytest
 
 from harmext import circle_map
@@ -43,3 +45,24 @@ def poisson_fleet(fleet):
         return cache[name]
 
     return get
+
+
+def wirtinger_fd(ext, z):
+    """(h_z, h_zbar) from central differences of ``ext.extend``.
+
+    Fourth-order stencil with step (1-|z|)/100: the second-order stencil
+    is not accurate enough near the boundary, where the higher derivatives
+    of h grow like powers of 1/(1-|z|).
+    """
+    z = np.asarray(z, dtype=complex)
+    step = (1.0 - np.abs(z)) / 100.0
+
+    def deriv(direction):
+        return (8.0 * (ext.extend(z + direction * step)
+                       - ext.extend(z - direction * step))
+                - (ext.extend(z + 2 * direction * step)
+                   - ext.extend(z - 2 * direction * step))) \
+            / (12.0 * step)
+
+    hx, hy = deriv(1.0), deriv(1j)
+    return 0.5 * (hx - 1j * hy), 0.5 * (hx + 1j * hy)

@@ -234,6 +234,29 @@ SPLIT_TABLE_MAPS = (("power", 2.0, 14), ("power", 4.0 / 3.0, 11),
                     ("power", 2.0 / 3.0, 8), ("double_exp", 2.0, 3))
 
 
+def _averaged_staircase(lift):
+    """t -> 0.5 (f(t) + t), f interpolating the plateaus of the lift's
+    first ``float_depth`` steps: g = (f + id)/2 taken term by term."""
+    pts = [(0.0, 0.0), (1.0, 1.0)]
+    for n in range(1, lift.float_depth + 1):
+        for lo, hi, val in lift.tree.plateaus[n]:
+            pts += [(float(lo), float(val)), (float(hi), float(val))]
+    xs, fs = np.array(sorted(pts)).T
+    return lambda t: 0.5 * (np.interp(t, xs, fs) + t)
+
+
+@pytest.mark.parametrize("spec", (("power", 2.0, 10),) + SPLIT_TABLE_MAPS)
+def test_lift_is_the_averaged_staircase_bit_for_bit(spec):
+    # the grid 2^21 holds every coarser dyadic grid
+    m = cantor.make_staircase_map(*spec)
+    want = _averaged_staircase(m.lift)
+    for t in (np.arange(1 << 21) / (1 << 21),
+              np.random.default_rng(11).random(1 << 20)):
+        g = want(t)
+        assert np.array_equal(m.lift_eval(t), g)
+        assert np.array_equal(m.eval(t), g)
+
+
 def _assert_groups_match(lift, levels):
     for j in levels:
         deltas, plateau_count = lift.level_increment_groups(j)

@@ -133,65 +133,82 @@ def test_invert_eval_roundtrip(t):
     assert abs(m.invert(m.eval(t)) - t) <= 1e-8
 
 
-# --------------------------------------------------------- image lengths
+# ------------------------------------------------ dyadic arc increments
+# level_increments(j).deltas[k - 1] is the image length, in turns, of the
+# k-th dyadic arc of level j
 
 def test_arc_image_length_identity():
-    m = circle_map.identity()
-    assert m.arc_image_length(3, 5) == pytest.approx(2 * math.pi / 8,
-                                                     rel=1e-14)
+    deltas = circle_map.identity().level_increments(3).deltas
+    assert deltas[4] == pytest.approx(1 / 8, rel=1e-14)
 
 
 def test_arc_image_length_piecewise_linear():
-    m = circle_map.piecewise_linear(PL)
-    assert m.arc_image_length(1, 1) == pytest.approx(math.pi / 2, rel=1e-13)
+    deltas = circle_map.piecewise_linear(PL).level_increments(1).deltas
+    assert deltas[0] == pytest.approx(0.25, rel=1e-13)
 
 
 def test_arc_image_lengths_telescope():
-    for m in (circle_map.identity(), circle_map.piecewise_linear(PL)):
-        total = sum(m.arc_image_length(4, k) for k in range(1, 17))
-        assert total == pytest.approx(2 * math.pi, rel=1e-12)
+    # a staircase counts the cells it does not enumerate, each of which
+    # gains the background increment
+    stair = make_staircase_map("power", 2.0, 10)
+    for m, j in ((circle_map.identity(), 4),
+                 (circle_map.piecewise_linear(PL), 4), (stair, 4),
+                 (stair, 30)):
+        inc = m.level_increments(j)
+        total = inc.deltas.sum() \
+            + inc.plateau_count * 2.0 ** inc.background_log2_delta
+        assert total == pytest.approx(1.0, rel=1e-12), (m.description, j)
 
 
 def test_arc_image_refinement_consistency():
     m = circle_map.piecewise_linear(PL)
     for j in (2, 3, 4):
-        for k in range(1, 2 ** j + 1):
-            parent = m.arc_image_length(j, k)
-            children = (m.arc_image_length(j + 1, 2 * k - 1)
-                        + m.arc_image_length(j + 1, 2 * k))
-            assert parent == pytest.approx(children, abs=1e-12)
-
-
-def test_arc_image_length_rotation_invariant():
-    base = circle_map.identity()
-    rot = circle_map.rotation_map(0.3)
-    for (j, k) in ((1, 1), (3, 5), (6, 40)):
-        assert rot.arc_image_length(j, k) == base.arc_image_length(j, k)
-
-
-def test_arc_image_length_index_errors():
-    m = circle_map.identity()
-    with pytest.raises(DomainError):
-        m.arc_image_length(0, 1)
-    with pytest.raises(DomainError):
-        m.arc_image_length(3, 9)
+        parent = m.level_increments(j).deltas
+        children = m.level_increments(j + 1).deltas.reshape(-1, 2).sum(axis=1)
+        np.testing.assert_allclose(parent, children, rtol=0, atol=1e-12)
 
 
 def test_level_increments_match_arc_lengths():
-    m = circle_map.piecewise_linear(PL)
-    inc = m.level_increments(5)
+    # exact oracle: PL has slope 1/2 on [0, 1/2] and 3/2 on [1/2, 1]
+    inc = circle_map.piecewise_linear(PL).level_increments(5)
     assert inc.plateau_count == 0
-    direct = np.array([m.arc_image_length(5, k) / (2 * math.pi)
-                       for k in range(1, 33)])
-    np.testing.assert_allclose(inc.deltas, direct, atol=1e-14)
+    np.testing.assert_allclose(inc.deltas, np.repeat([0.5, 1.5], 16) / 32,
+                               rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------- constructors
 
 def test_lift_must_fix_endpoints():
-    half = circle_map._PiecewiseLinearLift([0.0, 1.0], [0.0, 0.5])
     with pytest.raises(DomainError, match="lift must fix 0 and 1"):
-        circle_map.CircleMap(lift=half)
+        circle_map.PiecewiseLinearLift([0.0, 1.0], [0.0, 0.5])
+
+
+@pytest.mark.parametrize("xs,ys,condition", [
+    ([0.0], [0.0], "at least the two endpoints"),
+    ([0.0, 0.5, 1.0], [0.0, 1.0], "one length"),
+    ([0.0, math.nan, 1.0], [0.0, 0.5, 1.0], "finite"),
+    ([0.0, 0.5, 1.0], [0.0, math.inf, 1.0], "finite"),
+    ([0.0, 0.6, 0.4, 1.0], [0.0, 0.3, 0.5, 1.0], "strictly increasing"),
+    ([0.0, 0.5, 0.5, 1.0], [0.0, 0.3, 0.5, 1.0], "strictly increasing"),
+    ([0.0, 0.5, 0.6, 1.0], [0.0, 0.9, 0.2, 1.0], "nondecreasing"),
+    ([1e-13, 1.0], [0.0, 1.0], "fix 0 and 1"),
+    ([0.0, 0.5], [0.0, 1.0], "fix 0 and 1"),
+    ([0.0, 0.5, 1.0], [-1e-13, 0.5, 1.0], "fix 0 and 1"),
+    ([0.0, 0.5, 1.0], [0.0, 0.5, 2.0], "fix 0 and 1"),
+])
+def test_lift_refuses_bad_breakpoints(xs, ys, condition):
+    with pytest.raises(DomainError, match=condition):
+        circle_map.PiecewiseLinearLift(xs, ys)
+
+
+def test_lift_arrays_are_read_only():
+    xs = np.array([0.0, 0.5, 1.0])
+    lift = circle_map.PiecewiseLinearLift(xs, [0.0, 0.25, 1.0])
+    xs[1] = 0.9                 # the lift holds its own copy
+    assert lift.xs[1] == 0.5
+    for arr in (lift.xs, lift.ys):
+        with pytest.raises(ValueError):
+            arr[1] = 0.7
 
 
 def test_lift_must_provide_breakpoints():
@@ -263,7 +280,7 @@ def test_coefficients_at_any_frequencies_match_the_full_range(fleet, name):
 
 def test_staircase_breakpoints_reproduce_the_lift(fleet):
     m = fleet["staircase_s2"]
-    xs, ys = m.lift.breakpoints()
+    xs, ys = m.lift.xs, m.lift.ys
     assert xs.size == 2048
     t = np.random.default_rng(5).uniform(0, 1, 4096)
     np.testing.assert_allclose(np.interp(t, xs, ys), m.lift_eval(t),

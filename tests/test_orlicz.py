@@ -46,10 +46,13 @@ def test_phi_in_place_equals_the_plain_expression(p, lam):
     t = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 4001)])
     assert np.array_equal(orlicz.phi(spec, t),
                           t ** p * np.log(math.e + t) ** lam)
+    # a scalar takes the array loop: alone, as a 1-element array and
+    # inside a long array it gets the same bits
     for s in (0.0, 1e-3, 0.7, 3.0, 1e5):
-        a = np.asarray(s)
-        assert np.array_equal(orlicz.phi(spec, s),
-                              a ** p * np.log(math.e + a) ** lam)
+        alone = orlicz.phi(spec, s)
+        assert type(alone) is float
+        assert alone == orlicz.phi(spec, np.array([s]))[0]
+        assert alone == orlicz.phi(spec, np.insert(t, 1000, s))[1000]
 
 
 def test_phi_rejects_negative_argument():

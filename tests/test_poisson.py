@@ -10,6 +10,8 @@ from harmext.errors import DomainError, PrecisionError
 from harmext.poisson import PoissonExtension
 from harmext.report import EnergyParams
 
+from conftest import wirtinger_fd
+
 PL = ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0))
 
 
@@ -50,12 +52,10 @@ def test_extension_rejects_boundary_points(ext_identity):
         ext_identity.extend(0.999999999999)
 
 
-@pytest.mark.parametrize("mode", ["analytic_kernel", "finite_difference"])
 @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf),
                                  complex(-math.inf, 0.0)])
-def test_extension_rejects_non_finite_points(mode, bad):
-    ext = PoissonExtension(circle_map.piecewise_linear(PL),
-                           derivative_mode=mode)
+def test_extension_rejects_non_finite_points(bad):
+    ext = PoissonExtension(circle_map.piecewise_linear(PL))
     for call in (ext.extend, ext.wirtinger):
         with pytest.raises(DomainError):
             call(bad)
@@ -75,18 +75,12 @@ def test_level_samples_need_a_positive_level(ext_pl):
             ext_pl.level_samples(j)
 
 
-def test_rejects_unknown_derivative_mode():
-    with pytest.raises(DomainError):
-        PoissonExtension(circle_map.identity(), derivative_mode="spectral")
-
-
 def test_derivative_modes_agree(ext_pl):
-    fd = PoissonExtension(ext_pl.boundary, derivative_mode="finite_difference")
     rng = np.random.default_rng(8)
     r = 0.95 * np.sqrt(rng.uniform(0, 1, 20))
     z = r * np.exp(2j * np.pi * rng.uniform(0, 1, 20))
     hz_a, hzb_a = ext_pl.wirtinger(z)
-    hz_f, hzb_f = fd.wirtinger(z)
+    hz_f, hzb_f = wirtinger_fd(ext_pl, z)
     scale = np.abs(hz_a) + np.abs(hzb_a)
     assert np.max(np.abs(hz_a - hz_f) / scale) < 1e-5
     assert np.max(np.abs(hzb_a - hzb_f) / scale) < 1e-5
@@ -148,10 +142,9 @@ def test_staircase_derivatives_where_node_doubling_failed(fleet):
     # of 2^21 nodes there
     rng = np.random.default_rng(3)
     z = 0.3 * np.exp(2j * np.pi * rng.random(2))
-    hz, hzb = PoissonExtension(fleet["staircase_s2"]).wirtinger(z)
-    fd = PoissonExtension(fleet["staircase_s2"],
-                          derivative_mode="finite_difference")
-    hz_f, hzb_f = fd.wirtinger(z)
+    ext = PoissonExtension(fleet["staircase_s2"])
+    hz, hzb = ext.wirtinger(z)
+    hz_f, hzb_f = wirtinger_fd(ext, z)
     scale = np.abs(hz) + np.abs(hzb)
     assert np.max(np.abs(hz - hz_f) / scale) < 1e-5
     assert np.max(np.abs(hzb - hzb_f) / scale) < 1e-5
