@@ -235,10 +235,12 @@ class InverseGeometry:
         winv_y = circle_map.invert(args.ravel()).reshape(args.shape)
         d = np.abs(winv_y - winv_x[:, None])
         d = np.minimum(d, 1.0 - d)
-        # distinct offsets always have distinct preimages, but on nearly
-        # flat stretches of the inverse (steep map gaps) their float
-        # difference underflows to 0 and the kernel would report a
-        # spurious divergence; floor at the resolution of the inversion
+        # distinct offsets always have distinct preimages, but ``invert``
+        # resolves them only to its grid k 2^-n: two targets closer than
+        # that can land on one grid point (on the staircase, whose default
+        # tol gives a 2^-19 grid, every chord floored at 28 rings does)
+        # and a 0 chord would make the kernel report a spurious
+        # divergence; floor at 2^-50, the finest grid ``invert`` allows
         d = np.maximum(d, 2.0 ** -50)
         return cls(description=circle_map.description, inv_chords=_chord(d),
                    offset_weights=wts)

@@ -281,6 +281,14 @@ class StaircaseLift(PiecewiseLinearLift):
         limit staircase."""
         return 2.0 ** -self.float_depth
 
+    def __eq__(self, other):
+        """Equal breakpoints and one schedule: two depths past the float
+        tables share breakpoints but not the dyadic increments."""
+        same = super().__eq__(other)
+        if same is not True:
+            return same
+        return self.tree.schedule == other.tree.schedule
+
     # structure-aware dyadic increments -------------------------------
 
     def _split_table(self, m: int) -> np.ndarray:

@@ -11,9 +11,15 @@ admissible.  The breakpoints give the Fourier coefficients of the map in
 closed form (``fourier_coefficients``); the staircase lift of ``cantor``
 is a subclass that adds exact dyadic increments.
 
-Inversion uses bisection; when the requested value sits on a plateau the
-midpoint of the plateau is returned, so ``invert`` is a genuine monotone
-right inverse even for degenerate maps.
+Inversion solves on a dyadic grid k 2^-n, n = ceil(-log2 tol) + 2: each
+side of the preimage is the smallest grid point whose value reaches the
+target, which is what n bisection steps over [0, 1] return.  It is read
+off the breakpoints (the piece holding the target gives the seed) and
+settled by a few unit steps of k; a target the steps do not settle (a
+nearly flat piece rounds many grid points to one value) is bisected.
+When the requested value sits on a plateau the midpoint of the plateau
+is returned, so ``invert`` is a genuine monotone right inverse even for
+degenerate maps.
 
 The sample stages read the map only at dyadic points k 2^-e, so the map
 owns one table of its values there (``dyadic_values``): built on first
@@ -22,7 +28,7 @@ strided view.  Since k 2^-e is exact in floating point and ``eval`` is
 elementwise, an entry is bit for bit ``eval(k / 2^e)``.  Arguments are
 checked once, at the public entry points (``lift_eval``, ``eval``,
 ``invert``), which refuse non-finite points; ``_lift``, the interpolation
-itself, is what they and the bisection loop share.
+itself, is what they and the inverse's grid search share.
 """
 
 from __future__ import annotations
@@ -38,7 +44,8 @@ from .errors import DomainError, LabError
 # Hard cap on the number of dyadic cells enumerated explicitly at one level.
 MAX_LEVEL_CELLS = 2 ** 22
 
-_MAX_BISECTIONS = 200
+_MIN_TOL = 2.0 ** -50          # keeps the grid k 2^-n of ``invert`` exact
+_SNAP_STEPS = 4               # unit steps of k before a target is bisected
 _COEFF_BLOCK = 1 << 16        # pieces x frequencies evaluated at once
 
 
@@ -114,6 +121,17 @@ class PiecewiseLinearLift:
         xs.flags.writeable = ys.flags.writeable = False
         self.xs, self.ys = xs, ys
 
+    def __eq__(self, other):
+        """Equal lifts: one class, equal breakpoints, one eval_tolerance.
+
+        Defining ``__eq__`` leaves the class unhashable, like ``CircleMap``.
+        """
+        if type(other) is not type(self):
+            return NotImplemented
+        return (np.array_equal(self.xs, other.xs)
+                and np.array_equal(self.ys, other.ys)
+                and self.eval_tolerance == other.eval_tolerance)
+
 
 @dataclass
 class CircleMap:
@@ -149,8 +167,8 @@ class CircleMap:
         """u on an array already in [0,1]."""
         xs, ys = self.lift.xs, self.lift.ys
         if xs.size == 2:
-            # (0, 0) to (1, 1) is the identity; a two-point np.interp would
-            # cost the bisection of ``invert`` fifteen times as much
+            # (0, 0) to (1, 1) is the identity, which a two-point np.interp
+            # would only slow down
             return arr
         return np.interp(arr, xs, ys)
 
@@ -236,6 +254,9 @@ class CircleMap:
         elif not (math.isfinite(tol) and tol > 0):
             raise DomainError(f"tol must be a positive finite number, "
                               f"got {tol}")
+        elif tol < _MIN_TOL:
+            raise DomainError(f"tol must be >= 2^-50, where the grid of the "
+                              f"inverse stops being exact, got {tol}")
         arr, scalar = _as_array(y)
         _check_finite(arr, "invert")
         target = np.mod(arr - self.rotation, 1.0)
@@ -247,25 +268,67 @@ class CircleMap:
         # residual may legitimately be ~plateau tolerance; a large residual
         # means the lift jumped (not a homeomorphism limit) -> refuse.
         if np.any(resid > np.sqrt(tol) + 10 * self.eval_tolerance + 1e-6):
-            raise LabError("bisection could not match the target value")
+            raise LabError("invert could not match the target value")
         out = np.mod(mid, 1.0)
         return float(out) if scalar else out
 
     def _bisect_smallest(self, target, tol, strict=False):
-        """Smallest x with u(x) >= target (or > target when strict)."""
-        lo = np.zeros_like(target)
-        hi = np.ones_like(target)
-        n_iter = min(_MAX_BISECTIONS, int(np.ceil(-np.log2(tol))) + 2)
-        for _ in range(n_iter):
-            mid = 0.5 * (lo + hi)
-            vals = self._lift(mid)
-            if strict:
-                take_hi = vals > target
-            else:
-                take_hi = vals >= target
-            hi = np.where(take_hi, mid, hi)
-            lo = np.where(take_hi, lo, mid)
-        return hi
+        """Smallest x = k 2^-n, 1 <= k < 2^n, with u(x) >= target (> target
+        when strict), else 1; n = ceil(-log2 tol) + 2.
+
+        That is what n bisection steps over [0, 1] return.  The piece of
+        the lift holding the target gives a seed x*, k starts at
+        ceil(x* 2^n) and steps to the first k that passes; targets left
+        after ``_SNAP_STEPS`` steps either way are bisected.
+        """
+        n = max(0, int(np.ceil(-np.log2(tol))) + 2)
+        top, scale = 2.0 ** n, 2.0 ** -n
+        t = target.reshape(-1)
+
+        def passes(x, idx):
+            vals = self._lift(x)
+            return vals > t[idx] if strict else vals >= t[idx]
+
+        xs, ys = self.lift.xs, self.lift.ys
+        j = np.clip(np.searchsorted(ys, t, side="right" if strict else "left"),
+                    1, ys.size - 1)
+        dy = ys[j] - ys[j - 1]
+        # a flat piece (dy = 0) seeds at its left end
+        rise = np.divide(t - ys[j - 1], dy, out=np.zeros_like(t),
+                         where=dy > 0)
+        seed = xs[j - 1] + rise * (xs[j] - xs[j - 1])
+        k = np.clip(np.ceil(seed * top), 1.0, top)
+
+        every = np.arange(t.size)
+        held = passes(k * scale, every)
+        # up while k fails; k = 2^n is taken untested, as by the bisection
+        up = every[~held & (k < top)]
+        for _ in range(_SNAP_STEPS):
+            if not up.size:
+                break
+            k[up] += 1.0
+            up = up[k[up] < top]
+            up = up[~passes(k[up] * scale, up)]
+        # down while k - 1 still passes (bisection never tests x = 0)
+        down = every[held & (k > 1.0)]
+        down = down[passes((k[down] - 1.0) * scale, down)]
+        for _ in range(_SNAP_STEPS):
+            if not down.size:
+                break
+            k[down] -= 1.0
+            down = down[k[down] > 1.0]
+            down = down[passes((k[down] - 1.0) * scale, down)]
+
+        rest = np.concatenate([up, down])
+        if rest.size:
+            lo, hi = np.zeros(rest.size), np.ones(rest.size)
+            for _ in range(n):
+                mid = 0.5 * (lo + hi)
+                take_hi = passes(mid, rest)
+                hi = np.where(take_hi, mid, hi)
+                lo = np.where(take_hi, lo, mid)
+            k[rest] = hi * top
+        return (k * scale).reshape(target.shape)
 
     # ------------------------------------------------------- dyadic images
 

@@ -95,9 +95,13 @@ def _tail_estimate(a_J: float, J: int, alpha: float, mu: float) -> float:
 @dataclass
 class PoissonExtension:
     boundary: CircleMap
-    _coeffs: np.ndarray | None = field(default=None, repr=False)
-    _point_coeffs: np.ndarray | None = field(default=None, repr=False)
-    _samples: dict = field(default_factory=dict, repr=False)
+    # caches of the map-only stage: not arguments, and not part of ==
+    _coeffs: np.ndarray | None = field(default=None, init=False,
+                                       compare=False, repr=False)
+    _point_coeffs: np.ndarray | None = field(default=None, init=False,
+                                             compare=False, repr=False)
+    _samples: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     # ----------------------------------------------------------- boundary
 
@@ -202,8 +206,10 @@ class PoissonExtension:
         k = np.arange(1, n_terms + 1)
         damp = k * np.exp((k - 1) * math.log(r) if r > 0 else
                           np.where(k == 1, 0.0, -np.inf))
-        a = coeffs[k % M] * damp            # for h_z, frequency k-1
-        b = coeffs[(-k) % M] * damp         # for h_zbar, frequency -(k-1)
+        # coeffs[k] and coeffs[M - k], k = 1..n_terms, as slices: n_terms
+        # <= M/2, so neither wraps
+        a = coeffs[1:n_terms + 1] * damp            # h_z, frequency k-1
+        b = coeffs[M - n_terms:][::-1] * damp       # h_zbar, frequency -(k-1)
 
         def fold(vec, sign):
             # value_l = sum_m vec[m] * e^(sign * 2 pi i m (l+g)/C),

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmext import circle_map
+from harmext.boundary import inverse_kernel_geometries
 from harmext.cantor import make_staircase_map
 from harmext.errors import DomainError, LabError
 
 from conftest import build_fleet
 
 PL = ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0))
+FLEET_NAMES = ("identity", "rotation", "pl_mild", "pl_kinked", "staircase_s2")
 
 
 # ------------------------------------------------------------------ eval
@@ -62,8 +64,7 @@ def test_non_finite_points_are_refused(method, bad):
 DYADIC_LEVELS = (3, 21, 10, 14, 18)
 
 
-@pytest.mark.parametrize("name", ["identity", "rotation", "pl_mild",
-                                  "pl_kinked", "staircase_s2"])
+@pytest.mark.parametrize("name", FLEET_NAMES)
 def test_dyadic_values_are_eval_in_any_order(fleet, name):
     # each order starts from a fresh map, so the table grows differently
     want = {e: fleet[name].eval(np.arange(1 << e) / (1 << e))
@@ -114,10 +115,17 @@ def test_invert_staircase_plateau_midpoint():
     assert m.invert(0.5) == pytest.approx(0.5, abs=1e-6)
 
 
-@pytest.mark.parametrize("tol", [0.0, math.nan])
+@pytest.mark.parametrize("tol", [0.0, math.nan, 2.0 ** -51, 1e-300])
 def test_invert_rejects_bad_tolerance(tol):
     with pytest.raises(DomainError):
         circle_map.identity().invert(0.5, tol=tol)
+
+
+def test_invert_accepts_the_finest_grid():
+    # tol = 2^-50 gives the grid k 2^-52, still exact in float64
+    m = circle_map.piecewise_linear(PL)
+    assert m.invert(0.7, tol=2.0 ** -50) == pytest.approx(m.invert(0.7),
+                                                          abs=1e-11)
 
 
 def test_invert_respects_rotation():
@@ -131,6 +139,112 @@ def test_invert_respects_rotation():
 def test_invert_eval_roundtrip(t):
     m = circle_map.piecewise_linear(((0.0, 0.0), (0.3, 0.2), (1.0, 1.0)))
     assert abs(m.invert(m.eval(t)) - t) <= 1e-8
+
+
+# ------------------------------------- the grid solve against bisection
+
+def _bisection(m, target, tol, strict=False):
+    """The bisection ``_bisect_smallest`` ran before the breakpoint solve:
+    n = ceil(-log2 tol) + 2 halvings of [0, 1], keeping the upper end."""
+    lo = np.zeros_like(target)
+    hi = np.ones_like(target)
+    for _ in range(int(np.ceil(-np.log2(tol))) + 2):
+        mid = 0.5 * (lo + hi)
+        vals = m._lift(mid)
+        take_hi = vals > target if strict else vals >= target
+        hi = np.where(take_hi, mid, hi)
+        lo = np.where(take_hi, lo, mid)
+    return hi
+
+
+def _default_tol(m):
+    return max(m.eval_tolerance * 1e-2, 1e-14)
+
+
+@pytest.mark.parametrize("name", FLEET_NAMES)
+def test_grid_solve_matches_bisection_on_the_v_targets(name, monkeypatch):
+    # every target the fine and coarse inverse geometries of v ask for
+    m = build_fleet()[name]
+    solve, calls = m._bisect_smallest, []
+
+    def record(target, tol, strict=False):
+        calls.append((target, tol, strict))
+        return solve(target, tol, strict)
+
+    monkeypatch.setattr(m, "_bisect_smallest", record)
+    inverse_kernel_geometries(m)
+    assert len(calls) == 8          # x and x + offset, both passes, twice
+    assert sum(t.size for t, _, _ in calls) > 800_000
+    for target, tol, strict in calls:
+        assert np.array_equal(solve(target, tol, strict),
+                              _bisection(m, target, tol, strict))
+
+
+@pytest.mark.parametrize("name", FLEET_NAMES)
+def test_grid_solve_matches_bisection_at_the_breakpoints(fleet, name):
+    m = fleet[name]
+    ys = m.lift.ys
+    target = np.concatenate([ys, np.nextafter(ys, -np.inf),
+                             np.nextafter(ys, np.inf), [0.0]])
+    for strict in (False, True):
+        assert np.array_equal(
+            m._bisect_smallest(target, _default_tol(m), strict),
+            _bisection(m, target, _default_tol(m), strict))
+
+
+@pytest.mark.parametrize("rise", [0.0, 1e-7, 1e-10])
+@pytest.mark.parametrize("tol", [1e-12, 2.0 ** -50, 1e-3, 3.0])
+def test_grid_solve_matches_bisection_on_flat_pieces(rise, tol):
+    # a flat piece at y = 0.5, or one rising by 1e-7 or 1e-10: there the
+    # float lift holds one value over hundreds of grid points or more,
+    # past the unit steps, and those targets are bisected
+    m = circle_map.piecewise_linear(
+        ((0.0, 0.0), (0.5, 0.5), (0.6, 0.5 + rise), (1.0, 1.0)))
+    target = np.concatenate([0.5 + np.linspace(0.0, rise, 257),
+                             np.nextafter(0.5, [-1.0, 2.0]),
+                             np.linspace(0.0, 1.0, 257)])
+    for strict in (False, True):
+        assert np.array_equal(m._bisect_smallest(target, tol, strict),
+                              _bisection(m, target, tol, strict))
+
+
+def test_grid_solve_of_a_scalar_target():
+    m = circle_map.piecewise_linear(PL)
+    target = np.mod(np.asarray(0.3) - m.rotation, 1.0)
+    for strict in (False, True):
+        got = m._bisect_smallest(target, 1e-12, strict)
+        want = _bisection(m, target, 1e-12, strict)
+        assert np.shape(got) == np.shape(want) == ()
+        assert got == want
+
+
+# ------------------------------------------------------------- equality
+
+@pytest.mark.parametrize("name", FLEET_NAMES)
+def test_maps_built_alike_are_equal(fleet, name):
+    description = fleet[name].description
+    a = circle_map.from_description(description)
+    b = circle_map.from_description(description)
+    assert a == b and a.lift == b.lift and a == fleet[name]
+
+
+def test_maps_that_differ_are_unequal():
+    assert circle_map.identity() != circle_map.rotation_map(0.3)
+    assert make_staircase_map("power", 2.0, 10) != \
+        make_staircase_map("power", 2.0, 12)
+    # depths 12 and 13 share float_depth 11 and so their breakpoints, not
+    # their dyadic increments
+    deep, deeper = (make_staircase_map("power", 2.0, d).lift
+                    for d in (12, 13))
+    assert np.array_equal(deep.xs, deeper.xs) and deep != deeper
+    plain = circle_map.PiecewiseLinearLift(deep.xs, deep.ys)
+    assert plain != deep
+    assert circle_map.identity().lift != "identity"
+
+
+def test_lifts_are_unhashable():
+    with pytest.raises(TypeError):
+        hash(circle_map.identity().lift)
 
 
 # ------------------------------------------------ dyadic arc increments

@@ -243,6 +243,20 @@ def test_level_samples_cached(ext_pl):
     assert a[0] is b[0]
 
 
+def test_extensions_compare_by_their_maps():
+    a, b = (PoissonExtension(circle_map.identity()) for _ in range(2))
+    a.extend(0.5)
+    b.extend(0.5)
+    a.level_samples(2)
+    assert a == b
+    assert a != PoissonExtension(circle_map.piecewise_linear(PL))
+
+
+def test_extension_caches_are_not_arguments():
+    with pytest.raises(TypeError):
+        PoissonExtension(circle_map.identity(), _coeffs=[1, 2])
+
+
 # ---------------------------------------------------------- the integrals
 
 def test_kernel_weight_identity_anchor(ext_identity):
