@@ -6,10 +6,15 @@ gauge_pair_energy ("U"):
     int int Phi_{p,lam}( |phi(xi)-phi(eta)| / |xi-eta| ) |xi-eta|^alpha,
   computed by splitting the off-diagonal set into dyadic rings
   A_j = { arc distance in (pi 2^-j, pi 2^(1-j)] } and midpoint quadrature
-  per ring; ring sums play the role of dyadic levels.  The quadrature
-  sizes ``n_outer`` and ``n_inner`` are powers of two, so every node is a
-  dyadic point k 2^-e and the map is read from its table of values there
-  (``CircleMap.dyadic_values``), the one the |Dh| stage reads too.
+  per ring; ring sums play the role of dyadic levels.  The lift is linear
+  between its breakpoints, so a pair whose two ends lie on one piece, of
+  slope s, at offset d has the image chord chord(s d) wherever it sits:
+  Phi is applied once per (offset, slope), weighted by the number of such
+  pairs, and once per pair that straddles a breakpoint, 0 or 1, the only
+  pairs at which the map is read.  The quadrature sizes ``n_outer`` and
+  ``n_inner`` are powers of two, so every node is a dyadic point k 2^-e,
+  exact in floating point up to the ring count ``PairGeometry.build``
+  allows.
 
 inverse_kernel_energy ("V"):
     int ( int A(|phi^-1 xi - phi^-1 eta|) |d eta| )^(p-1) |d xi|,
@@ -110,26 +115,40 @@ def _chord(d: np.ndarray) -> np.ndarray:
     return d
 
 
+# ring j puts its pairs on the grid 2^-(j + log2 n_inner + 2), and a node
+# plus an offset stays exact in floating point while that grid is no finer
+# than 2^-52
+_FINEST_GRID = 52
+
+
 @dataclass
 class PairGeometry:
-    """Chords and quadrature weights for the off-diagonal ring split.
+    """Chords and pair counts for the off-diagonal ring split.
 
     The map-only stage of U: the geometry depends only on the map and the
     quadrature spec, while Phi and the exponents do not touch it, so one
     geometry serves every parameter point (``evaluate_gauge_pair``).
 
-    Ring j reads the map's dyadic table at e = max(log2 n_out + 1,
-    j + log2 n_inner + 2), which must stay within the table's budget of
-    2^22 values: with ``n_inner`` = 32 that allows 15 rings.
+    Ring j pairs the outer nodes x = (i + 1/2) / n_out with the 2 n_inner
+    offsets d = +-2^-(j+1) (1 + (m + 1/2) / n_inner).  When x and x + d lie
+    on one linear piece of the lift, of slope s, the image chord is
+    chord(s d) wherever x is, so such a pair is kept only as a count per
+    (slope, offset).  A pair straddles when a breakpoint of the lift, 0 or
+    1 lies strictly between x and x + d; the map is read at the two ends of
+    the straddling pairs only (``CircleMap.eval``), and their image chords
+    are kept in order of offset, then node.
     """
 
     description: str       # the map's description
     n_outer: int
     n_inner: int
     rings: list            # ring index j
-    chords: list           # |xi - eta| per inner offset: (2 n_inner,) a ring
-    image_chords: list     # |phi xi - phi eta|: (n_out, 2 n_inner) a ring
-    weights: list          # product measure per node, one scalar per ring
+    chords: list           # |xi - eta| per offset: (2 n_inner,) a ring
+    slope_chords: list     # chord(s d): (2 n_inner, n_slopes) a ring
+    slope_counts: list     # one-piece pairs per (offset, slope), likewise
+    straddle_chords: list  # |phi xi - phi eta| of the straddling pairs
+    straddle_counts: list  # straddling pairs per offset: (2 n_inner,)
+    weights: list          # product measure per pair, one scalar per ring
 
     @classmethod
     def build(cls, circle_map: CircleMap, n_outer: int = 256,
@@ -138,38 +157,80 @@ class PairGeometry:
             raise DomainError("diagonal_rings must be >= 1")
         log2_exact(n_outer, "n_outer")
         b = log2_exact(n_inner, "n_inner")
-        rings, chords, imchords, weights = [], [], [], []
+        top = _FINEST_GRID - b - 2
+        if diagonal_rings > top:
+            raise DomainError(
+                f"diagonal_rings must be <= {top} with n_inner = {n_inner}, "
+                f"got {diagonal_rings}: ring j puts its pairs on the grid "
+                f"2^-(j + {b + 2}), which must stay exact in floating point")
+        xs, ys = circle_map.lift.xs, circle_map.lift.ys
+        slopes, piece_slope = np.unique(np.diff(ys) / np.diff(xs),
+                                        return_inverse=True)
+        geom = cls(description=circle_map.description, n_outer=n_outer,
+                   n_inner=n_inner, rings=[], chords=[], slope_chords=[],
+                   slope_counts=[], straddle_chords=[], straddle_counts=[],
+                   weights=[])
         for j in range(1, diagonal_rings + 1):
             # the integrand varies at the offset scale 2^-j, so the outer
             # grid must refine with the ring or deep rings of maps with
             # fine structure (staircases) are aliased
             n_out = min(max(n_outer, 8 << j), 1 << 15)
-            # the outer nodes (i + 1/2) / n_out and the offsets
-            # +-2^-(j+1) (1 + (m + 1/2) / n_inner) are odd multiples of
-            # 2^-e, so node + offset mod 1 is exactly k 2^-e with
-            # k = (k_x + k_off) mod 2^e
-            e = max(n_out.bit_length(), j + b + 2)
-            values = circle_map.dyadic_values(e)
-            k_x = np.arange(1, 2 * n_out, 2,
-                            dtype=np.int32) << (e - n_out.bit_length())
-            k_off = np.arange(2 * n_inner + 1, 4 * n_inner, 2,
-                              dtype=np.int32) << (e - j - b - 2)
-            k_off = np.concatenate([k_off, -k_off])
-            d_source = np.abs(k_off) / (1 << e)
-            k_y = k_x[:, None] + k_off[None, :]
-            k_y &= (1 << e) - 1
-            du = values[k_y]
-            del k_y
-            du -= values[k_x][:, None]
-            np.abs(du, out=du)
+            x = (np.arange(n_out) + 0.5) / n_out
+            band = 2.0 ** -(j + 1)
+            d = band + (np.arange(n_inner) + 0.5) * band / n_inner
+            d = np.concatenate([d, -d])
+            # the pair (lo, hi) = (x, x + d), ordered, straddles xs[k] for
+            # the nodes [first with hi > xs[k], first with lo >= xs[k]);
+            # both ends grow with k, so clipping each start at the previous
+            # end leaves disjoint ranges with the same union
+            starts = np.empty((d.size, xs.size), dtype=np.int64)
+            ends = np.empty_like(starts)
+            for o, off in enumerate(d):
+                lo, hi = (x, x + off) if off > 0 else (x + off, x)
+                starts[o] = np.searchsorted(hi, xs, side="right")
+                ends[o] = np.searchsorted(lo, xs, side="left")
+            np.maximum(starts[:, 1:], ends[:, :-1], out=starts[:, 1:])
+            lengths = np.maximum(ends - starts, 0).ravel()
+            before = np.cumsum(lengths) - lengths
+            node = np.repeat(starts.ravel() - before, lengths)
+            node += np.arange(node.size)
+            per_offset = lengths.reshape(d.size, -1).sum(axis=1)
+            offset = np.repeat(np.arange(d.size), per_offset)
+
+            x_s = x[node]
+            phi_s = circle_map.eval(np.concatenate([x_s,
+                                                    (x_s + d[offset]) % 1.0]))
+            du = np.abs(phi_s[node.size:] - phi_s[:node.size])
             np.minimum(du, 1.0 - du, out=du)
-            rings.append(j)
-            chords.append(_chord(np.minimum(d_source, 1.0 - d_source)))
-            imchords.append(_chord(du))
-            weights.append(2.0 ** -(j + 1) / n_inner / n_out)
-        return cls(description=circle_map.description, n_outer=n_outer,
-                   n_inner=n_inner, rings=rings, chords=chords,
-                   image_chords=imchords, weights=weights)
+
+            # the piece of a one-piece pair holds x on [xs[p], xs[p+1]) when
+            # d > 0 and on (xs[p], xs[p+1]] when d < 0; counting every node
+            # there and taking the straddling ones out leaves the one-piece
+            # pairs per slope
+            right = piece_slope[np.searchsorted(xs, x, side="right") - 1]
+            left = piece_slope[np.searchsorted(xs, x, side="left") - 1]
+            label = np.where(d[offset] > 0, right[node], left[node])
+            counts = np.repeat(
+                [np.bincount(right, minlength=slopes.size),
+                 np.bincount(left, minlength=slopes.size)], n_inner, axis=0)
+            counts -= np.bincount(
+                offset * slopes.size + label,
+                minlength=counts.size).reshape(counts.shape)
+            rise = np.abs(np.outer(d, slopes)) % 1.0
+            np.minimum(rise, 1.0 - rise, out=rise)
+            rise = _chord(rise)
+            # a chord no pair has may exceed what Phi can hold, and Phi(0)
+            # is 0: keep inf * 0 out of the sum
+            rise[counts == 0] = 0.0
+
+            geom.rings.append(j)
+            geom.chords.append(_chord(np.minimum(np.abs(d), 1.0 - np.abs(d))))
+            geom.slope_chords.append(rise)
+            geom.slope_counts.append(counts)
+            geom.straddle_chords.append(_chord(du))
+            geom.straddle_counts.append(per_offset)
+            geom.weights.append(band / n_inner / n_out)
+        return geom
 
 
 # -------------------------------------------------------------------- U
@@ -184,24 +245,34 @@ def gauge_pair_energy(circle_map: CircleMap, params: EnergyParams,
 
 def evaluate_gauge_pair(geom: PairGeometry,
                         params: EnergyParams) -> EnergyReport:
-    """U at one parameter point from a built pair geometry."""
+    """U at one parameter point from a built pair geometry.
+
+    Phi is applied once per (slope, offset) and once per straddling pair.
+    """
     spec = OrliczSpec(p=params.p, lam=params.lam)
     scale = (2.0 * math.pi) ** 2
     per_ring = []
-    for chords, imchords, w in zip(geom.chords, geom.image_chords,
-                                   geom.weights):
+    for chords, s_chords, s_counts, x_chords, x_counts, w in zip(
+            geom.chords, geom.slope_chords, geom.slope_counts,
+            geom.straddle_chords, geom.straddle_counts, geom.weights):
         # source offsets are >= 2^-(j+1), so no chord is 0
-        integrand = phi(spec, imchords / chords)
-        integrand *= chords ** params.alpha
-        integrand *= w
-        per_ring.append(scale * float(np.sum(integrand)))
-        del integrand      # before the next ring's ratios and Phi buffers
+        powered = chords ** params.alpha
+        ratios = np.concatenate([(s_chords / chords[:, None]).ravel(),
+                                 x_chords / np.repeat(chords, x_counts)])
+        terms = phi(spec, ratios)
+        terms *= np.concatenate([(s_counts * powered[:, None]).ravel(),
+                                 np.repeat(powered, x_counts)])
+        per_ring.append(scale * w * float(np.sum(terms)))
     rep = EnergyReport(functional="gauge_pair", params=params,
                        levels=geom.rings, per_level=np.asarray(per_ring),
                        value=float(np.sum(per_ring)))
     rep.notes["map"] = geom.description
     rep.notes["n_outer"] = geom.n_outer
     rep.notes["n_inner"] = geom.n_inner
+    straddling = sum(int(c.sum()) for c in geom.straddle_counts)
+    rep.notes["straddling_nodes"] = straddling
+    rep.notes["pair_nodes"] = straddling + sum(int(c.sum())
+                                               for c in geom.slope_counts)
     return finalize(rep, window=3)
 
 

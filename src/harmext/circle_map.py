@@ -21,7 +21,7 @@ When the requested value sits on a plateau the midpoint of the plateau
 is returned, so ``invert`` is a genuine monotone right inverse even for
 degenerate maps.
 
-The sample stages read the map only at dyadic points k 2^-e, so the map
+The |Dh| stage reads the map only at dyadic points k 2^-e, so the map
 owns one table of its values there (``dyadic_values``): built on first
 use, grown by evaluating only the new odd k, and read at a coarser e as a
 strided view.  Since k 2^-e is exact in floating point and ``eval`` is

@@ -51,9 +51,9 @@ stage of I1 and I2 (the FFT coefficients, about 32 MB at level 14, and
 the per-level samples), and the ``energy`` and ``sweep`` commands build
 one per command (``cli.STAGES``) and evaluate every parameter point
 against it.  The boundary samples come from the map's table of dyadic
-values (``CircleMap.dyadic_values``), which the pair stage shares, so
-the coefficient grids 2^14 to 2^21 of successive levels evaluate each
-point of the map once, and the grid sizes are powers of two.
+values (``CircleMap.dyadic_values``), so the coefficient grids 2^14 to
+2^21 of successive levels evaluate each point of the map once, and the
+grid sizes are powers of two.
 """
 
 from __future__ import annotations

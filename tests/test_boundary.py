@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from harmext import boundary, circle_map
 from harmext.errors import DomainError
+from harmext.orlicz import OrliczSpec, phi
 from harmext.report import EnergyParams
 
 PL = ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0))
@@ -198,18 +199,113 @@ def float_node_pair_build(m, n_outer, n_inner, rings):
     return chords, image_chords, weights
 
 
-@pytest.mark.parametrize("spec", [(256, 32, 14), (32, 4, 4)])
-@pytest.mark.parametrize("name", ["identity", "rotation", "pl_mild",
-                                  "pl_kinked", "staircase_s2"])
-def test_pair_geometry_equals_the_float_node_build(fleet, name, spec):
-    geom = boundary.PairGeometry.build(fleet[name], *spec)
-    want = float_node_pair_build(fleet[name], *spec)
-    got = (geom.chords, geom.image_chords, geom.weights)
+def straddles(m, n_outer, n_inner, rings):
+    """Per ring, (2 n_inner, n_out) True where a breakpoint of the lift, 0
+    or 1 lies strictly inside the pair (x, x + offset)."""
+    out = []
+    for j in range(1, rings + 1):
+        n_out = min(max(n_outer, 8 << j), 1 << 15)
+        x = (np.arange(n_out) + 0.5) / n_out
+        band = 2.0 ** -(j + 1)
+        offs = band + (np.arange(n_inner) + 0.5) * band / n_inner
+        offs = np.concatenate([offs, -offs])
+        y = x[None, :] + offs[:, None]
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        xs = m.lift.xs
+        out.append(np.searchsorted(xs, hi, side="left")
+                   > np.searchsorted(xs, lo, side="right"))
+    return out
+
+
+def dense_ring_sums(float_build, params):
+    """U's ring sums from ``float_node_pair_build``, Phi at every node."""
+    spec = OrliczSpec(p=params.p, lam=params.lam)
+    return np.array([
+        (2 * math.pi) ** 2 * w * np.sum(phi(spec, im / c) * c ** params.alpha)
+        for c, im, w in zip(*float_build)])
+
+
+PAIR_POINTS = [EnergyParams(1.5, 0.25, 1.0), EnergyParams(2.0, -0.5, -0.5),
+               EnergyParams(3.0, 0.5, 0.5)]
+
+
+@pytest.fixture(scope="module", params=[
+    (name, spec) for spec in [(256, 32, 14), (32, 4, 4)]
+    for name in ["identity", "rotation", "pl_mild", "pl_kinked",
+                 "staircase_s2"]], ids=lambda c: f"{c[0]}-{c[1]}")
+def pair_case(request, fleet):
+    """The map, its spec, its PairGeometry and its float-node build."""
+    name, spec = request.param
+    m = fleet[name]
+    return (m, spec, boundary.PairGeometry.build(m, *spec),
+            float_node_pair_build(m, *spec))
+
+
+def test_pair_geometry_straddling_chords_are_the_float_node_ones(pair_case):
+    m, spec, geom, (chords, image_chords, weights) = pair_case
     assert geom.rings == list(range(1, spec[2] + 1))
-    for field, a, b in zip(("chords", "image_chords", "weights"), got, want):
-        assert len(a) == len(b) == spec[2]
-        for j, (x, y) in enumerate(zip(a, b), start=1):
-            assert np.array_equal(x, y), (field, j)
+    for j, mask in enumerate(straddles(m, *spec)):
+        assert np.array_equal(geom.chords[j], chords[j]), j
+        assert geom.weights[j] == weights[j], j
+        assert np.array_equal(geom.straddle_counts[j], mask.sum(axis=1)), j
+        # the geometry keeps them in order of offset, then node
+        assert np.array_equal(geom.straddle_chords[j],
+                              image_chords[j].T[mask]), j
+
+
+def test_pair_geometry_counts_every_pair_once(pair_case):
+    m, spec, geom, (_, image_chords, _) = pair_case
+    for j, (counts, crossing) in enumerate(
+            zip(geom.slope_counts, geom.straddle_counts)):
+        n_out, n_offsets = image_chords[j].shape
+        assert n_offsets == 2 * spec[1]
+        assert np.all(counts >= 0)
+        assert int(counts.sum() + crossing.sum()) == n_out * n_offsets, j
+
+
+def test_pair_ring_sums_equal_the_dense_float_node_sums(pair_case):
+    _, _, geom, float_build = pair_case
+    for params in PAIR_POINTS:
+        rep = boundary.evaluate_gauge_pair(geom, params)
+        np.testing.assert_allclose(rep.per_level,
+                                   dense_ring_sums(float_build, params),
+                                   rtol=1e-13, err_msg=str(params))
+        assert rep.notes["pair_nodes"] == sum(im.size
+                                              for im in float_build[1])
+        assert rep.notes["straddling_nodes"] == sum(
+            int(c.sum()) for c in geom.straddle_counts)
+
+
+@pytest.mark.parametrize("name", ["identity", "pl_kinked"])
+def test_pair_energy_past_fifteen_rings(fleet, name):
+    spec = (256, 32, 16)
+    rep = boundary.gauge_pair_energy(fleet[name], PAIR_POINTS[1],
+                                     diagonal_rings=16)
+    assert rep.levels == list(range(1, 17))
+    np.testing.assert_allclose(
+        rep.per_level,
+        dense_ring_sums(float_node_pair_build(fleet[name], *spec),
+                        PAIR_POINTS[1]), rtol=1e-13)
+
+
+def test_pair_energy_at_the_deepest_ring_allowed():
+    # on a rotation every image chord is its source chord: Phi = 1 at
+    # (2, 0, 0), and ring j sums to (2 pi)^2 times its measure 2^-j
+    # ring 48 puts its pairs on the grid 2^-(48 + log2 4 + 2) = 2^-52
+    n_inner, rings = 4, 48
+    rep = boundary.gauge_pair_energy(circle_map.rotation_map(0.3),
+                                     EnergyParams(2.0, 0.0, 0.0),
+                                     diagonal_rings=rings, n_inner=n_inner)
+    np.testing.assert_allclose(
+        rep.per_level, 4 * math.pi ** 2 * 2.0 ** -np.arange(1, rings + 1),
+        rtol=1e-15)
+
+
+@pytest.mark.parametrize("n_inner,rings", [(32, 46), (4, 49), (32, 0)])
+def test_pair_geometry_refuses_rings_off_the_exact_grid(n_inner, rings):
+    with pytest.raises(DomainError, match="diagonal_rings"):
+        boundary.PairGeometry.build(circle_map.identity(), n_inner=n_inner,
+                                    diagonal_rings=rings)
 
 
 @pytest.mark.parametrize("kw", [dict(n_inner=0), dict(n_inner=24),

@@ -3,22 +3,26 @@
 tracemalloc counts numpy's buffers as they are allocated, so the peak of
 one step is the same from run to run, unlike the resident set size.  The
 |Dh| stage to level 14 runs first and leaves the map's dyadic table at
-2^21 values, as in an ``energy`` command.  One ring of the pair
-geometry at 14 rings is a (2^15, 64) float array: 16 MB.
+2^21 values, as in an ``energy`` command.  The pair geometry holds a count
+per (offset, slope) and the image chords of the straddling pairs only:
+the pairs with a breakpoint of the lift, 0 or 1 between their ends.
 """
 
 import tracemalloc
 
 from harmext import boundary, circle_map
+from harmext.cantor import make_staircase_map
 from harmext.poisson import PoissonExtension
 from harmext.report import EnergyParams
 
 PL_KINKED = ((0.0, 0.0), (0.25, 0.5), (0.75, 0.6), (1.0, 1.0))
 
-# the geometry holds 67.6 MB; its build may add two ring-sized buffers
-BUILD_PEAK_MB = 100.0
-# U holds the ring's ratios and two buffers for Phi at a time
-U_PEAK_MB = 56.0
+# the build of pl_kinked peaks near 2 MB, its geometry holds 0.4 MB
+BUILD_PEAK_MB = 16.0
+# U holds one ring's ratios and weights, with Phi's two buffers, at a time
+U_PEAK_MB = 4.0
+# the staircase's 291,264 straddling pairs at 14 rings take 2.3 MB
+STAIRCASE_GEOMETRY_MB = 8.0
 
 
 def _traced_peak_mb(fn):
@@ -44,3 +48,13 @@ def test_pair_stage_peaks_stay_bounded():
         tracemalloc.stop()
     assert build_mb <= BUILD_PEAK_MB
     assert u_mb <= U_PEAK_MB
+
+
+def test_staircase_pair_geometry_stays_small():
+    geom = boundary.PairGeometry.build(make_staircase_map("power", 2.0, 10),
+                                       diagonal_rings=14)
+    held = sum(a.nbytes for field in (geom.chords, geom.slope_chords,
+                                      geom.slope_counts, geom.straddle_chords,
+                                      geom.straddle_counts)
+               for a in field)
+    assert held / 2 ** 20 <= STAIRCASE_GEOMETRY_MB
