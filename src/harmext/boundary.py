@@ -115,6 +115,30 @@ def _chord(d: np.ndarray) -> np.ndarray:
     return d
 
 
+def _straddling(x: np.ndarray, d: np.ndarray, xs: np.ndarray) -> tuple:
+    """The pairs (x, x + d) with a breakpoint xs[k] strictly inside.
+
+    xs runs from 0 to 1, so the pairs that wrap past 0 are among them.
+    Returns the node index of each, in order of offset, then node, and
+    the number per offset.  With (lo, hi) the pair in order, xs[k] is
+    inside for the nodes [first with hi > xs[k], first with lo >= xs[k]).
+    Both ends grow with k, so clipping each start at the previous end
+    leaves disjoint ranges with the same union.
+    """
+    starts = np.empty((d.size, xs.size), dtype=np.int64)
+    ends = np.empty_like(starts)
+    for o, off in enumerate(d):
+        lo, hi = (x, x + off) if off > 0 else (x + off, x)
+        starts[o] = np.searchsorted(hi, xs, side="right")
+        ends[o] = np.searchsorted(lo, xs, side="left")
+    np.maximum(starts[:, 1:], ends[:, :-1], out=starts[:, 1:])
+    lengths = np.maximum(ends - starts, 0).ravel()
+    node = np.repeat(starts.ravel() - (np.cumsum(lengths) - lengths),
+                     lengths)
+    node += np.arange(node.size)
+    return node, lengths.reshape(d.size, -1).sum(axis=1)
+
+
 # ring j puts its pairs on the grid 2^-(j + log2 n_inner + 2), and a node
 # plus an offset stays exact in floating point while that grid is no finer
 # than 2^-52
@@ -133,7 +157,7 @@ class PairGeometry:
     offsets d = +-2^-(j+1) (1 + (m + 1/2) / n_inner).  When x and x + d lie
     on one linear piece of the lift, of slope s, the image chord is
     chord(s d) wherever x is, so such a pair is kept only as a count per
-    (slope, offset).  A pair straddles when a breakpoint of the lift, 0 or
+    (offset, slope).  A pair straddles when a breakpoint of the lift, 0 or
     1 lies strictly between x and x + d; the map is read at the two ends of
     the straddling pairs only (``CircleMap.eval``), and their image chords
     are kept in order of offset, then node.
@@ -179,28 +203,12 @@ class PairGeometry:
             band = 2.0 ** -(j + 1)
             d = band + (np.arange(n_inner) + 0.5) * band / n_inner
             d = np.concatenate([d, -d])
-            # the pair (lo, hi) = (x, x + d), ordered, straddles xs[k] for
-            # the nodes [first with hi > xs[k], first with lo >= xs[k]);
-            # both ends grow with k, so clipping each start at the previous
-            # end leaves disjoint ranges with the same union
-            starts = np.empty((d.size, xs.size), dtype=np.int64)
-            ends = np.empty_like(starts)
-            for o, off in enumerate(d):
-                lo, hi = (x, x + off) if off > 0 else (x + off, x)
-                starts[o] = np.searchsorted(hi, xs, side="right")
-                ends[o] = np.searchsorted(lo, xs, side="left")
-            np.maximum(starts[:, 1:], ends[:, :-1], out=starts[:, 1:])
-            lengths = np.maximum(ends - starts, 0).ravel()
-            before = np.cumsum(lengths) - lengths
-            node = np.repeat(starts.ravel() - before, lengths)
-            node += np.arange(node.size)
-            per_offset = lengths.reshape(d.size, -1).sum(axis=1)
+            node, per_offset = _straddling(x, d, xs)
             offset = np.repeat(np.arange(d.size), per_offset)
-
             x_s = x[node]
-            phi_s = circle_map.eval(np.concatenate([x_s,
-                                                    (x_s + d[offset]) % 1.0]))
-            du = np.abs(phi_s[node.size:] - phi_s[:node.size])
+            ends = circle_map.eval(np.concatenate([x_s,
+                                                   (x_s + d[offset]) % 1.0]))
+            du = np.abs(ends[node.size:] - ends[:node.size])
             np.minimum(du, 1.0 - du, out=du)
 
             # the piece of a one-piece pair holds x on [xs[p], xs[p+1]) when
@@ -247,7 +255,7 @@ def evaluate_gauge_pair(geom: PairGeometry,
                         params: EnergyParams) -> EnergyReport:
     """U at one parameter point from a built pair geometry.
 
-    Phi is applied once per (slope, offset) and once per straddling pair.
+    Phi is applied once per (offset, slope) and once per straddling pair.
     """
     spec = OrliczSpec(p=params.p, lam=params.lam)
     scale = (2.0 * math.pi) ** 2

@@ -179,15 +179,22 @@ def test_inverse_kernel_respects_plateau_inverse():
 
 # ---------------------------------------------------------- pair geometry
 
+def ring_nodes(n_outer, n_inner, j):
+    """Ring j's outer nodes x, its 2 n_inner offsets and its band 2^-(j+1)."""
+    n_out = min(max(n_outer, 8 << j), 1 << 15)
+    x = (np.arange(n_out) + 0.5) / n_out
+    band = 2.0 ** -(j + 1)
+    offs = band + (np.arange(n_inner) + 0.5) * band / n_inner
+    return x, np.concatenate([offs, -offs]), band
+
+
 def float_node_pair_build(m, n_outer, n_inner, rings):
-    """The pair geometry from float nodes and (x + offset) % 1.0."""
+    """The dense pair geometry from float nodes and (x + offset) % 1.0:
+    per ring the source chords, the (n_out, 2 n_inner) image chords and
+    the weight."""
     chords, image_chords, weights = [], [], []
     for j in range(1, rings + 1):
-        n_out = min(max(n_outer, 8 << j), 1 << 15)
-        x = (np.arange(n_out) + 0.5) / n_out
-        band = 2.0 ** -(j + 1)
-        offs = band + (np.arange(n_inner) + 0.5) * band / n_inner
-        offs = np.concatenate([offs, -offs])
+        x, offs, band = ring_nodes(n_outer, n_inner, j)
         ux = m.eval(x)
         uy = m.eval((x[:, None] + offs[None, :]) % 1.0)
         du = np.abs(uy - ux[:, None])
@@ -195,7 +202,7 @@ def float_node_pair_build(m, n_outer, n_inner, rings):
         d = np.minimum(np.abs(offs), 1.0 - np.abs(offs))
         chords.append(2.0 * np.abs(np.sin(np.pi * d)))
         image_chords.append(2.0 * np.abs(np.sin(np.pi * du)))
-        weights.append(band / n_inner / n_out)
+        weights.append(band / n_inner / x.size)
     return chords, image_chords, weights
 
 
@@ -204,16 +211,11 @@ def straddles(m, n_outer, n_inner, rings):
     or 1 lies strictly inside the pair (x, x + offset)."""
     out = []
     for j in range(1, rings + 1):
-        n_out = min(max(n_outer, 8 << j), 1 << 15)
-        x = (np.arange(n_out) + 0.5) / n_out
-        band = 2.0 ** -(j + 1)
-        offs = band + (np.arange(n_inner) + 0.5) * band / n_inner
-        offs = np.concatenate([offs, -offs])
+        x, offs, _ = ring_nodes(n_outer, n_inner, j)
         y = x[None, :] + offs[:, None]
         lo, hi = np.minimum(x, y), np.maximum(x, y)
-        xs = m.lift.xs
-        out.append(np.searchsorted(xs, hi, side="left")
-                   > np.searchsorted(xs, lo, side="right"))
+        out.append(np.searchsorted(m.lift.xs, hi, side="left")
+                   > np.searchsorted(m.lift.xs, lo, side="right"))
     return out
 
 
@@ -229,20 +231,14 @@ PAIR_POINTS = [EnergyParams(1.5, 0.25, 1.0), EnergyParams(2.0, -0.5, -0.5),
                EnergyParams(3.0, 0.5, 0.5)]
 
 
-@pytest.fixture(scope="module", params=[
-    (name, spec) for spec in [(256, 32, 14), (32, 4, 4)]
-    for name in ["identity", "rotation", "pl_mild", "pl_kinked",
-                 "staircase_s2"]], ids=lambda c: f"{c[0]}-{c[1]}")
-def pair_case(request, fleet):
-    """The map, its spec, its PairGeometry and its float-node build."""
-    name, spec = request.param
+@pytest.mark.parametrize("spec", [(256, 32, 14), (32, 4, 4)])
+@pytest.mark.parametrize("name", ["identity", "rotation", "pl_mild",
+                                  "pl_kinked", "staircase_s2"])
+def test_pair_geometry_equals_the_float_node_build(fleet, name, spec):
     m = fleet[name]
-    return (m, spec, boundary.PairGeometry.build(m, *spec),
-            float_node_pair_build(m, *spec))
-
-
-def test_pair_geometry_straddling_chords_are_the_float_node_ones(pair_case):
-    m, spec, geom, (chords, image_chords, weights) = pair_case
+    geom = boundary.PairGeometry.build(m, *spec)
+    float_build = float_node_pair_build(m, *spec)
+    chords, image_chords, weights = float_build
     assert geom.rings == list(range(1, spec[2] + 1))
     for j, mask in enumerate(straddles(m, *spec)):
         assert np.array_equal(geom.chords[j], chords[j]), j
@@ -251,27 +247,16 @@ def test_pair_geometry_straddling_chords_are_the_float_node_ones(pair_case):
         # the geometry keeps them in order of offset, then node
         assert np.array_equal(geom.straddle_chords[j],
                               image_chords[j].T[mask]), j
-
-
-def test_pair_geometry_counts_every_pair_once(pair_case):
-    m, spec, geom, (_, image_chords, _) = pair_case
-    for j, (counts, crossing) in enumerate(
-            zip(geom.slope_counts, geom.straddle_counts)):
-        n_out, n_offsets = image_chords[j].shape
-        assert n_offsets == 2 * spec[1]
-        assert np.all(counts >= 0)
-        assert int(counts.sum() + crossing.sum()) == n_out * n_offsets, j
-
-
-def test_pair_ring_sums_equal_the_dense_float_node_sums(pair_case):
-    _, _, geom, float_build = pair_case
+        # every pair is counted once, on one piece or straddling
+        counts = geom.slope_counts[j]
+        assert np.all(counts >= 0), j
+        assert int(counts.sum() + mask.sum()) == image_chords[j].size, j
     for params in PAIR_POINTS:
         rep = boundary.evaluate_gauge_pair(geom, params)
         np.testing.assert_allclose(rep.per_level,
                                    dense_ring_sums(float_build, params),
                                    rtol=1e-13, err_msg=str(params))
-        assert rep.notes["pair_nodes"] == sum(im.size
-                                              for im in float_build[1])
+        assert rep.notes["pair_nodes"] == sum(im.size for im in image_chords)
         assert rep.notes["straddling_nodes"] == sum(
             int(c.sum()) for c in geom.straddle_counts)
 
