@@ -231,16 +231,13 @@ PAIR_POINTS = [EnergyParams(1.5, 0.25, 1.0), EnergyParams(2.0, -0.5, -0.5),
                EnergyParams(3.0, 0.5, 0.5)]
 
 
-@pytest.mark.parametrize("spec", [(256, 32, 14), (32, 4, 4)])
-@pytest.mark.parametrize("name", ["identity", "rotation", "pl_mild",
-                                  "pl_kinked", "staircase_s2"])
-def test_pair_geometry_equals_the_float_node_build(fleet, name, spec):
-    m = fleet[name]
+def check_against_float_nodes(m, spec):
     geom = boundary.PairGeometry.build(m, *spec)
     float_build = float_node_pair_build(m, *spec)
     chords, image_chords, weights = float_build
     assert geom.rings == list(range(1, spec[2] + 1))
-    for j, mask in enumerate(straddles(m, *spec)):
+    masks = straddles(m, *spec)
+    for j, mask in enumerate(masks):
         assert np.array_equal(geom.chords[j], chords[j]), j
         assert geom.weights[j] == weights[j], j
         assert np.array_equal(geom.straddle_counts[j], mask.sum(axis=1)), j
@@ -258,7 +255,37 @@ def test_pair_geometry_equals_the_float_node_build(fleet, name, spec):
                                    rtol=1e-13, err_msg=str(params))
         assert rep.notes["pair_nodes"] == sum(im.size for im in image_chords)
         assert rep.notes["straddling_nodes"] == sum(
-            int(c.sum()) for c in geom.straddle_counts)
+            int(mask.sum()) for mask in masks)
+
+
+@pytest.mark.parametrize("spec", [(256, 32, 14), (32, 4, 4)])
+@pytest.mark.parametrize("name", ["identity", "rotation", "pl_mild",
+                                  "pl_kinked", "staircase_s2"])
+def test_pair_geometry_equals_the_float_node_build(fleet, name, spec):
+    check_against_float_nodes(fleet[name], spec)
+
+
+def test_pair_geometry_with_breakpoints_on_the_nodes():
+    # 17/64, 81/128 and 201/256 are outer nodes of rings 1-2, 3 and 4: a
+    # pair from such a node lies on the piece to its right when d > 0 and
+    # on the piece to its left when d < 0
+    m = circle_map.piecewise_linear(((0, 0), (17 / 64, 0.1), (81 / 128, 0.7),
+                                     (201 / 256, 0.75), (1, 1)))
+    check_against_float_nodes(m, (32, 4, 4))
+
+
+def test_pair_energy_ignores_slopes_no_pair_has():
+    # at deep rings no pair fits on the 2^-20-wide piece, and chord(s d)
+    # of its slope 1e5 is no image chord; Phi of it overflows at p = 80,
+    # which must not reach the sum as inf * 0
+    m = circle_map.piecewise_linear(((0, 0), (0.5, 0.4),
+                                     (0.5 + 2.0 ** -20, 0.5), (1, 1)))
+    params = EnergyParams(80.0, 0.0, 0.0)
+    rep = boundary.gauge_pair_energy(m, params, diagonal_rings=14)
+    np.testing.assert_allclose(
+        rep.per_level,
+        dense_ring_sums(float_node_pair_build(m, 256, 32, 14), params),
+        rtol=1e-13)
 
 
 @pytest.mark.parametrize("name", ["identity", "pl_kinked"])
