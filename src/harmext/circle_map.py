@@ -21,11 +21,9 @@ When the requested value sits on a plateau the midpoint of the plateau
 is returned, so ``invert`` is a genuine monotone right inverse even for
 degenerate maps.
 
-The |Dh| stage reads the map only at dyadic points k 2^-e, so the map
-owns one table of its values there (``dyadic_values``): built on first
-use, grown by evaluating only the new odd k, and read at a coarser e as a
-strided view.  Since k 2^-e is exact in floating point and ``eval`` is
-elementwise, an entry is bit for bit ``eval(k / 2^e)``.  Arguments are
+The map keeps no table of its values: the |Dh| stage reads it at the
+dyadic points k 2^-e through a table of exponentiated boundary samples
+that the ``PoissonExtension`` owns (``boundary_values``).  Arguments are
 checked once, at the public entry points (``lift_eval``, ``eval``,
 ``invert``), which refuse non-finite points; ``_lift``, the interpolation
 itself, is what they and the inverse's grid search share.
@@ -34,7 +32,7 @@ itself, is what they and the inverse's grid search share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -140,10 +138,6 @@ class CircleMap:
     lift: PiecewiseLinearLift
     rotation: float = 0.0
     description: str = "custom"
-    # eval(k / size) for k = 0..size-1, size a power of two; built on first
-    # use by dyadic_values
-    _table: np.ndarray | None = field(default=None, init=False, repr=False,
-                                      compare=False)
 
     def __post_init__(self):
         if not isinstance(self.lift, PiecewiseLinearLift):
@@ -187,30 +181,6 @@ class CircleMap:
         _check_finite(arr, "eval")
         out = np.mod(self._lift(np.mod(arr, 1.0)) + self.rotation, 1.0)
         return float(out) if scalar else out
-
-    def dyadic_values(self, e: int) -> np.ndarray:
-        """eval(k 2^-e) for k = 0..2^e - 1, read from the map's table.
-
-        The table grows one level at a time, evaluating only the new odd k;
-        a level below the table's is a strided view of it.  The result is
-        read-only and equals ``eval(np.arange(2^e) / 2^e)`` bit for bit.
-        """
-        if not (isinstance(e, (int, np.integer)) and e >= 0):
-            raise DomainError(f"need an integer level e >= 0, got {e!r}")
-        if 1 << e > MAX_LEVEL_CELLS:
-            raise LabError(f"2^{e} dyadic values > budget {MAX_LEVEL_CELLS}")
-        table = self._table
-        if table is None:
-            table = self.eval(np.zeros(1))
-        while table.size < 1 << e:
-            n = table.size
-            grown = np.empty(2 * n)
-            grown[0::2] = table
-            grown[1::2] = self.eval(np.arange(1, 2 * n, 2) / (2 * n))
-            table = grown
-        table.flags.writeable = False
-        self._table = table
-        return table[::table.size >> e]
 
     def fourier_coefficients(self, K: int) -> np.ndarray:
         """c_k of exp(2 pi i (u(t) + rho)) for k = -K..K, index k + K."""

@@ -43,17 +43,25 @@ For the bulk sampling the harmonic series
 h_z = sum k c_k z^(k-1), h_zbar = sum k c_{-k} zbar^(k-1) (c_k the FFT
 coefficients of the boundary samples) is evaluated on radial slices by
 index folding -- exactly the trapezoid kernel quadrature, resummed, which
-keeps level J ~ 16 affordable.  Each Gauss radius of a level builds its
-damped series once and folds it for all four angular offsets, with one
-FFT over the stack of four.  |Dh| samples are cached per level and
-reused across parameter points: a ``PoissonExtension`` is the map-only
-stage of I1 and I2 (the FFT coefficients, about 32 MB at level 14, and
+keeps level J ~ 16 affordable.  Each Gauss radius of a level writes its
+damped series once into a zero-padded (rows x 2^j) buffer and folds it
+for all four angular offsets, adding the rows one at a time, with one FFT
+over the stack of four; the column phases of the offsets are computed
+once per level and shared by its four radii.  A radius is cut at 2^21
+series terms, and a level whose first dropped power r^n exceeds 1e-14
+(every level past 16) raises PrecisionError before any grid is built.
+|Dh| samples are cached per level and reused across parameter points: a
+``PoissonExtension`` is the map-only stage of I1 and I2 (its table of
+boundary samples and the FFT coefficients, 32 MB each at level 14, and
 the per-level samples), and the ``energy`` and ``sweep`` commands build
 one per command (``cli.STAGES``) and evaluate every parameter point
-against it.  The boundary samples come from the map's table of dyadic
-values (``CircleMap.dyadic_values``), so the coefficient grids 2^14 to
-2^21 of successive levels evaluate each point of the map once, and the
-grid sizes are powers of two.
+against it.  The boundary samples e^{2 pi i eval(k/2^e)} are one table
+(``boundary_values``): grown one level at a time, evaluating and
+exponentiating only the new odd k, and read at a coarser n as a strided
+view, so the coefficient grids 2^14 to 2^21 of successive levels
+evaluate and exponentiate each point of the map once.  Since k 2^-e is
+exact in floating point and ``eval`` and ``exp`` are elementwise, an
+entry is bit for bit what the whole grid evaluated afresh would give.
 """
 
 from __future__ import annotations
@@ -64,8 +72,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .circle_map import CircleMap, log2_exact
-from .errors import DomainError, PrecisionError
+from .circle_map import MAX_LEVEL_CELLS, CircleMap, log2_exact
+from .errors import DomainError, LabError, PrecisionError
 from .orlicz import OrliczSpec, phi
 from .report import EnergyParams, EnergyReport, finalize
 
@@ -77,6 +85,36 @@ _G4W = 0.5 * _GAUSS4_W
 _SERIES_DECAY = 37.0          # r^n < 1e-16 once n > 37 / (1 - r)
 _MAX_SERIES_TERMS = 1 << 20   # pointwise terms, |z| <= 1 - 3.5e-5
 _MAX_COEFF_LEN = 1 << 22
+_MAX_SLICE_TERMS = _MAX_COEFF_LEN // 2   # damped series terms per radius
+_SLICE_CUT = 1e-14            # largest first dropped power r^n allowed
+
+
+def _level_nodes(j: int):
+    """Gauss radii of level j's annulus and their radial weights."""
+    r_min = max(0.0, 1.0 - 2.0 ** (1 - j))
+    width = 1.0 - 2.0 ** -j - r_min
+    return r_min + _G4X * width, _G4W * width
+
+
+def _check_level_terms(j: int):
+    """PrecisionError if level j's series would be cut where r^n > 1e-14.
+
+    The outermost radius needs the most terms and drops the largest
+    power, so it speaks for the level.
+    """
+    r = float(_level_nodes(j)[0][-1])
+    need = int(_SERIES_DECAY / max(1.0 - r, 1e-12)) + 1
+    if need > _MAX_SLICE_TERMS and r ** _MAX_SLICE_TERMS > _SLICE_CUT:
+        raise PrecisionError(
+            f"level {j} needs {need} series terms at r = {r!r}, over the "
+            f"cap of {_MAX_SLICE_TERMS} (r^{_MAX_SLICE_TERMS} = "
+            f"{r ** _MAX_SLICE_TERMS:.1e} > {_SLICE_CUT:g})")
+
+
+def _exp_turns(turns: np.ndarray) -> np.ndarray:
+    """e^(2 pi i t) of positions t in turns, in one fresh array."""
+    out = np.multiply(turns, 2j * np.pi)
+    return np.exp(out, out=out)
 
 
 def _tail_estimate(a_J: float, J: int, alpha: float, mu: float) -> float:
@@ -102,14 +140,38 @@ class PoissonExtension:
                                              compare=False, repr=False)
     _samples: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
+    # boundary_values(size), size a power of two; grown by boundary_values
+    _boundary_table: np.ndarray | None = field(default=None, init=False,
+                                               compare=False, repr=False)
 
     # ----------------------------------------------------------- boundary
 
     def boundary_values(self, n: int) -> np.ndarray:
-        """phi(exp(2 pi i k/n)), k = 0..n-1, n a positive power of two."""
-        out = np.multiply(self.boundary.dyadic_values(log2_exact(n, "n")),
-                          2j * np.pi)
-        return np.exp(out, out=out)
+        """phi(exp(2 pi i k/n)), k = 0..n-1, n a positive power of two.
+
+        Read from the extension's table, which grows one level at a time,
+        evaluating and exponentiating only the new odd k; a smaller n is a
+        strided view of it.  The result is read-only and equals
+        ``np.exp(2j * np.pi * boundary.eval(np.arange(n) / n))`` bit for
+        bit.
+        """
+        e = log2_exact(n, "n")
+        if n > MAX_LEVEL_CELLS:
+            raise LabError(f"2^{e} boundary samples > budget "
+                           f"{MAX_LEVEL_CELLS}")
+        table = self._boundary_table
+        if table is None:
+            table = _exp_turns(self.boundary.eval(np.zeros(1)))
+        while table.size < n:
+            size = table.size
+            grown = np.empty(2 * size, dtype=complex)
+            grown[0::2] = table
+            grown[1::2] = _exp_turns(
+                self.boundary.eval(np.arange(1, 2 * size, 2) / (2 * size)))
+            table = grown
+        table.flags.writeable = False
+        self._boundary_table = table
+        return table[::table.size // n]
 
     # ---------------------------------------------------------- pointwise
 
@@ -183,76 +245,86 @@ class PoissonExtension:
                 _MAX_COEFF_LEN)
         if self._coeffs is None or self._coeffs.size != m:
             self._coeffs = None     # free the old grid first
-            coeffs = np.fft.fft(self.boundary_values(m))
-            coeffs /= m
-            self._coeffs = coeffs
+            # m is a power of two, so the 1/m scaling is exact
+            self._coeffs = np.fft.fft(self.boundary_values(m),
+                                      norm="forward")
         return self._coeffs
 
-    def _slice_derivatives(self, r: float, j: int, offsets):
+    def _slice_derivatives(self, r: float, j: int, offsets, col_phases):
         """h_z and h_zbar at r * exp(2 pi i (l + g)/2^j), l = 0..2^j-1.
 
         One row per angular offset g in ``offsets``: each returned array
-        has shape (len(offsets), 2^j).  Folds the damped coefficient series
-        into 2^j residue classes once per radius; the result is the
-        trapezoid kernel quadrature with the full coefficient grid,
-        evaluated exactly on the slices.
+        has shape (len(offsets), 2^j).  ``col_phases[sign]`` holds
+        e^(sign 2 pi i g l / 2^j) per offset, shared by the radii of the
+        level.  Folds the damped coefficient series into 2^j residue
+        classes once per radius; the result is the trapezoid kernel
+        quadrature with the full coefficient grid, evaluated exactly on the
+        slices.
         """
         C = 1 << j
         need = int(_SERIES_DECAY / max(1.0 - r, 1e-12)) + 1
-        coeffs = self._fourier_coeffs(2 * min(need, _MAX_COEFF_LEN // 2))
+        coeffs = self._fourier_coeffs(2 * min(need, _MAX_SLICE_TERMS))
         M = coeffs.size
         n_terms = min(need, M // 2)
         n_terms = max(n_terms, 1)
-        k = np.arange(1, n_terms + 1)
-        damp = k * np.exp((k - 1) * math.log(r) if r > 0 else
-                          np.where(k == 1, 0.0, -np.inf))
-        # coeffs[k] and coeffs[M - k], k = 1..n_terms, as slices: n_terms
-        # <= M/2, so neither wraps
-        a = coeffs[1:n_terms + 1] * damp            # h_z, frequency k-1
-        b = coeffs[M - n_terms:][::-1] * damp       # h_zbar, frequency -(k-1)
+        # k r^(k-1), k = 1..n_terms, in one buffer (r > 0: a Gauss radius)
+        damp = np.arange(n_terms) * math.log(r)
+        np.exp(damp, out=damp)
+        damp *= np.arange(1, n_terms + 1)
+        # the series vec[m], m = k-1 = 0..n_terms-1, zero-padded to whole
+        # rows of C: h_z takes coeffs[k], h_zbar coeffs[M - k], k = 1..n_terms,
+        # as slices (n_terms <= M/2, so neither wraps)
+        rows = np.zeros((-(-n_terms // C), C), dtype=complex)
+        series = rows.reshape(-1)[:n_terms]
+        row_index = np.arange(rows.shape[0])
+        term = np.empty((len(offsets), C), dtype=complex)
 
-        def fold(vec, sign):
-            # value_l = sum_m vec[m] * e^(sign * 2 pi i m (l+g)/C),
-            # vec indexed by m = k-1 = 0..n_terms-1
-            pad = (-vec.size) % C
-            if pad:
-                vec = np.concatenate([vec, np.zeros(pad, dtype=complex)])
-            rows = vec.reshape(-1, C)
-            row_index, col_index = np.arange(rows.shape[0]), np.arange(C)
-            folded = np.empty((len(offsets), C), dtype=complex)
-            # one offset at a time: a single matrix product over the
-            # offsets would round the row sums differently
-            for i, g in enumerate(offsets):
-                row_phase = np.exp(sign * 2j * np.pi * g * row_index)
-                col_phase = np.exp(sign * 2j * np.pi * g * col_index / C)
-                folded[i] = (rows * row_phase[:, None]).sum(axis=0) \
-                    * col_phase
+        def fold(sign):
+            # value_l = sum_m vec[m] * e^(sign * 2 pi i m (l+g)/C); the rows
+            # are added one at a time, in the order .sum(axis=0) adds them
+            # (a matrix product over the rows would round differently)
+            row_phase = np.stack([np.exp(sign * 2j * np.pi * g * row_index)
+                                  for g in offsets])
+            folded = np.multiply(rows[0], row_phase[:, :1])
+            for q in range(1, rows.shape[0]):
+                np.multiply(rows[q], row_phase[:, q:q + 1], out=term)
+                folded += term
+            folded *= col_phases[sign]
+            # C is a power of two, so skipping ifft's 1/C is exact
             if sign > 0:
-                return np.fft.ifft(folded, axis=1) * C
+                return np.fft.ifft(folded, axis=1, norm="forward")
             return np.fft.fft(folded, axis=1)
 
-        return fold(a, +1), fold(b, -1)
+        np.multiply(coeffs[1:n_terms + 1], damp, out=series)
+        hz = fold(+1)
+        np.multiply(coeffs[M - n_terms:][::-1], damp, out=series)
+        return hz, fold(-1)
 
     def level_samples(self, j: int):
         """|Dh|, radii and weights on the 4x4 Gauss grid of level j's cells.
 
         Returns (dh, r_nodes, radial_weights, angular_weight) where dh has
-        shape (4, 4, 2^j): radial node x angular offset x cell.
+        shape (4, 4, 2^j): radial node x angular offset x cell.  Raises
+        PrecisionError, before any grid is built, for a level the series
+        cap would cut (every level past 16).
         """
         if j < 1:
             raise DomainError(f"level must be >= 1, got {j}")
         if j in self._samples:
             return self._samples[j]
-        r_min = max(0.0, 1.0 - 2.0 ** (1 - j))
-        width = 1.0 - 2.0 ** -j - r_min
-        r_nodes = r_min + _G4X * width
-        wr = _G4W * width
+        _check_level_terms(j)
+        r_nodes, wr = _level_nodes(j)
         ang_w = _G4W * (2 * math.pi * 2.0 ** -j)
         n_cells = 1 << j
         offsets = [float(g) for g in _G4X]
+        col_index = np.arange(n_cells)
+        col_phases = {sign: np.stack([
+            np.exp(sign * 2j * np.pi * g * col_index / n_cells)
+            for g in offsets]) for sign in (+1, -1)}
         dh = np.empty((4, 4, n_cells))
         for ri, r in enumerate(r_nodes):
-            hz, hzb = self._slice_derivatives(float(r), j, offsets)
+            hz, hzb = self._slice_derivatives(float(r), j, offsets,
+                                              col_phases)
             dh[ri] = np.abs(hz) + np.abs(hzb)
         self._samples[j] = (dh, r_nodes, wr, ang_w)
         return self._samples[j]
@@ -263,6 +335,8 @@ class PoissonExtension:
                   functional: str) -> EnergyReport:
         if max_level < 1:
             raise DomainError("max_level must be >= 1")
+        # the deepest level is the one the cap would cut first
+        _check_level_terms(max_level)
         p, alpha, lam = params.p, params.alpha, params.lam
         spec = OrliczSpec(p=p, lam=lam) if functional == "kernel_gauge" \
             else None

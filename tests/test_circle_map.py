@@ -11,6 +11,7 @@ from harmext import circle_map
 from harmext.boundary import inverse_kernel_geometries
 from harmext.cantor import make_staircase_map
 from harmext.errors import DomainError, LabError
+from harmext.poisson import PoissonExtension
 
 from conftest import build_fleet
 
@@ -60,36 +61,43 @@ def test_non_finite_points_are_refused(method, bad):
 
 
 # ---------------------------------------------------------- dyadic table
+# The |Dh| stage reads the map at the dyadic points k/n through the table
+# of boundary samples e^(2 pi i eval(k/n)) that its extension holds.
 
 DYADIC_LEVELS = (3, 21, 10, 14, 18)
 
 
 @pytest.mark.parametrize("name", FLEET_NAMES)
 def test_dyadic_values_are_eval_in_any_order(fleet, name):
-    # each order starts from a fresh map, so the table grows differently
-    want = {e: fleet[name].eval(np.arange(1 << e) / (1 << e))
-            for e in DYADIC_LEVELS}
+    # each order starts from a fresh extension, so the table grows
+    # differently
+    want = {}
+    for e in DYADIC_LEVELS:
+        n = 1 << e
+        want[e] = np.exp(2j * np.pi * fleet[name].eval(np.arange(n) / n))
     for order in (DYADIC_LEVELS, DYADIC_LEVELS[::-1]):
-        m = build_fleet()[name]
+        ext = PoissonExtension(build_fleet()[name])
         for e in order:
-            assert np.array_equal(m.dyadic_values(e), want[e]), (order, e)
+            assert np.array_equal(ext.boundary_values(1 << e), want[e]), \
+                (order, e)
 
 
 def test_dyadic_values_are_read_only():
-    vals = circle_map.piecewise_linear(PL).dyadic_values(4)
+    ext = PoissonExtension(circle_map.piecewise_linear(PL))
+    vals = ext.boundary_values(16)
     with pytest.raises(ValueError):
         vals[0] = 0.5
 
 
-@pytest.mark.parametrize("e", [-1, 2.0, None])
-def test_dyadic_values_reject_bad_levels(e):
+@pytest.mark.parametrize("n", [-1, 2.0, None])
+def test_dyadic_values_reject_bad_levels(n):
     with pytest.raises(DomainError):
-        circle_map.identity().dyadic_values(e)
+        PoissonExtension(circle_map.identity()).boundary_values(n)
 
 
 def test_dyadic_values_say_when_over_budget():
     with pytest.raises(LabError, match="budget"):
-        circle_map.identity().dyadic_values(23)
+        PoissonExtension(circle_map.identity()).boundary_values(1 << 23)
 
 
 # ---------------------------------------------------------------- invert

@@ -1,11 +1,15 @@
-"""Memory guard for the sample stages of the pair energy U.
+"""Memory guards for the |Dh| stage of I1/I2 and the pair stage of U.
 
 tracemalloc counts numpy's buffers as they are allocated, so the peak of
 one step is the same from run to run, unlike the resident set size.  The
-|Dh| stage to level 14 runs first and leaves the map's dyadic table at
-2^21 values, as in an ``energy`` command.  The pair geometry holds a count
-per (offset, slope) and the image chords of the straddling pairs only:
-the pairs with a breakpoint of the lift, 0 or 1 between their ends.
+|Dh| stage to level 14 holds its table of boundary samples and the FFT
+grid, 2^21 complex values (32 MB) each, and peaks in the fold of level
+14's outermost radius, whose damped series and padded rows add about
+20 MB to them.  The pair stage is measured
+after the |Dh| stage, as in an ``energy`` command.  The pair geometry
+holds a count per (offset, slope) and the image chords of the straddling
+pairs only: the pairs with a breakpoint of the lift, 0 or 1 between their
+ends.
 """
 
 import tracemalloc
@@ -17,6 +21,8 @@ from harmext.report import EnergyParams
 
 PL_KINKED = ((0.0, 0.0), (0.25, 0.5), (0.75, 0.6), (1.0, 1.0))
 
+# levels 1..14 of pl_kinked peak at 89.3 MB and hold 68 MB afterwards
+DH_STAGE_PEAK_MB = 92.0
 # the build of pl_kinked peaks near 2 MB, its geometry holds 0.4 MB
 BUILD_PEAK_MB = 16.0
 # U holds one ring's ratios and weights, with Phi's two buffers, at a time
@@ -31,6 +37,17 @@ def _traced_peak_mb(fn):
     tracemalloc.reset_peak()
     out = fn()
     return out, (tracemalloc.get_traced_memory()[1] - held) / 2 ** 20
+
+
+def test_dh_stage_peak_stays_bounded():
+    ext = PoissonExtension(circle_map.piecewise_linear(PL_KINKED))
+    tracemalloc.start()
+    try:
+        _, stage_mb = _traced_peak_mb(
+            lambda: [ext.level_samples(j) for j in range(1, 15)])
+    finally:
+        tracemalloc.stop()
+    assert stage_mb <= DH_STAGE_PEAK_MB
 
 
 def test_pair_stage_peaks_stay_bounded():

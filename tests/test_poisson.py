@@ -7,7 +7,7 @@ import pytest
 
 from harmext import circle_map
 from harmext.errors import DomainError, PrecisionError
-from harmext.poisson import PoissonExtension
+from harmext.poisson import _G4X, PoissonExtension
 from harmext.report import EnergyParams
 
 from conftest import wirtinger_fd
@@ -197,7 +197,6 @@ def test_slice_samples_match_pointwise(ext_pl):
     # quadrature at matching Gauss nodes
     j = 5
     dh, r_nodes, _, _ = ext_pl.level_samples(j)
-    from harmext.poisson import _G4X
     for ri in (0, 3):
         for gi in (1, 2):
             for cell_idx in (0, 7, 20):
@@ -235,6 +234,97 @@ def test_level_samples_do_not_depend_on_call_order(fleet, name):
     for j in (1, 3, 6, 9):
         np.testing.assert_array_equal(after_deep.level_samples(j)[0],
                                       fresh.level_samples(j)[0])
+
+
+class _ReferenceStage:
+    """The |Dh| stage computed the plain way, one grid at a time.
+
+    Every coefficient grid evaluates and exponentiates all of its boundary
+    samples afresh, the fold sums a (rows x C) product per offset, and the
+    scalings are explicit divisions and products.  ``level_samples`` must
+    give the same bits.
+    """
+
+    def __init__(self, boundary):
+        self.boundary = boundary
+        self.coeffs = None
+
+    def fourier_coeffs(self, length):
+        m = min(max(1 << 14, 1 << (max(length, 1) - 1).bit_length()),
+                1 << 22)
+        if self.coeffs is None or self.coeffs.size != m:
+            self.coeffs = None
+            samples = np.multiply(self.boundary.eval(np.arange(m) / m),
+                                  2j * np.pi)
+            coeffs = np.fft.fft(np.exp(samples, out=samples))
+            coeffs /= m
+            self.coeffs = coeffs
+        return self.coeffs
+
+    def slice_derivatives(self, r, j, offsets):
+        C = 1 << j
+        need = int(37.0 / max(1.0 - r, 1e-12)) + 1
+        coeffs = self.fourier_coeffs(2 * min(need, 1 << 21))
+        M = coeffs.size
+        n_terms = max(min(need, M // 2), 1)
+        k = np.arange(1, n_terms + 1)
+        damp = k * np.exp((k - 1) * math.log(r))
+        a = coeffs[1:n_terms + 1] * damp
+        b = coeffs[M - n_terms:][::-1] * damp
+
+        def fold(vec, sign):
+            pad = (-vec.size) % C
+            if pad:
+                vec = np.concatenate([vec, np.zeros(pad, dtype=complex)])
+            rows = vec.reshape(-1, C)
+            row_index, col_index = np.arange(rows.shape[0]), np.arange(C)
+            folded = np.empty((len(offsets), C), dtype=complex)
+            for i, g in enumerate(offsets):
+                row_phase = np.exp(sign * 2j * np.pi * g * row_index)
+                col_phase = np.exp(sign * 2j * np.pi * g * col_index / C)
+                folded[i] = (rows * row_phase[:, None]).sum(axis=0) \
+                    * col_phase
+            if sign > 0:
+                return np.fft.ifft(folded, axis=1) * C
+            return np.fft.fft(folded, axis=1)
+
+        return fold(a, +1), fold(b, -1)
+
+    def dh(self, j, r_nodes):
+        offsets = [float(g) for g in _G4X]
+        out = np.empty((4, 4, 1 << j))
+        for ri, r in enumerate(r_nodes):
+            hz, hzb = self.slice_derivatives(float(r), j, offsets)
+            out[ri] = np.abs(hz) + np.abs(hzb)
+        return out
+
+
+@pytest.mark.parametrize("name", ["identity", "rotation", "pl_mild",
+                                  "pl_kinked", "staircase_s2"])
+def test_level_samples_are_the_reference_bit_for_bit(fleet, name):
+    # the held table of boundary samples, the forward-scaled FFTs and the
+    # row-by-row fold change no bit of the samples
+    deepest = 14 if name in ("pl_kinked", "staircase_s2") else 12
+    ext, ref = PoissonExtension(fleet[name]), _ReferenceStage(fleet[name])
+    for j in range(1, deepest + 1):
+        dh, r_nodes, _, _ = ext.level_samples(j)
+        assert np.array_equal(dh, ref.dh(j, r_nodes)), j
+
+
+def test_levels_the_series_cap_would_cut_raise_before_sampling():
+    # level 17's innermost radius would drop r^(2^21) = 3.8e-14 of its
+    # series, past the 1e-14 allowed; level 16 drops at most 1.4e-15
+    ext = PoissonExtension(circle_map.identity())
+    params = EnergyParams(2.0, 0.0, 0.0)
+    for call in (lambda: ext.level_samples(17),
+                 lambda: ext.kernel_weight_integral(params, 17),
+                 lambda: ext.kernel_gauge_integral(params, 18)):
+        with pytest.raises(PrecisionError,
+                           match=r"level 1[78] needs \d+ series terms .* "
+                                 r"over the cap of 2097152"):
+            call()
+    assert ext._boundary_table is None and ext._coeffs is None
+    assert not ext._samples
 
 
 def test_level_samples_cached(ext_pl):
