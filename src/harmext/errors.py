@@ -37,4 +37,5 @@ class QuadratureOverflowError(LabError):
 
 class PrecisionError(LabError):
     """A point needs more series terms than ``extend`` and ``wirtinger``
-    allow (|z| too close to the boundary)."""
+    allow (|z| too close to the boundary), or a dyadic level more than its
+    |Dh| samples keep (a level past 16)."""
