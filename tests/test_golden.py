@@ -1,4 +1,5 @@
-"""Golden CLI outputs: the exact bytes of `energy`, `sweep`, `examples`.
+"""Golden CLI outputs: the exact bytes of `energy`, `sweep`, `examples`,
+`weights-check` and `orlicz-check`.
 
 Each case is a `harmext-lab` command line whose output is stored under
 `tests/golden/`.  A refactor that must not change results keeps these
@@ -50,6 +51,14 @@ CASES = {
         "--levels", "12", "--p", "2", "--alpha", "-0.5", "--lambda", "2"],
     # the three staircase studies: cantor block sums and a 20-level e1
     "examples_default.json": ["examples"],
+    # the A_p estimate of the fleet round's weights study: 200 random
+    # disks, each averaged by the refined radial quadrature
+    "weights_check.json": [
+        "weights-check", "--p", "2", "--alpha", "0.5", "--lambda", "1",
+        "--trials", "200", "--seed", "0"],
+    # lambda < 0: the gauge is repaired past its breakpoints
+    "orlicz_check_negative.json": [
+        "orlicz-check", "--p", "3", "--lambda", "-1.5"],
 }
 
 
