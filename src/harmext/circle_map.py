@@ -27,6 +27,14 @@ that the ``PoissonExtension`` owns (``boundary_values``).  Arguments are
 checked once, at the public entry points (``lift_eval``, ``eval``,
 ``invert``), which refuse non-finite points; ``_lift``, the interpolation
 itself, is what they and the inverse's grid search share.
+
+``eval`` and ``invert`` reduce mod 1 with the bits of ``np.mod(x, 1.0)``
+but mostly without its two passes (``_mod_one``): an argument of ``eval``
+already in [0, 1) goes to the lift as it is, and a fresh result in
+[0, 2) is reduced in place by subtracting 1 where it is >= 1, which is
+exact there, then adding 0.0, which turns -0.0 into +0.0 as ``np.mod``
+does.  Any other range, and every 0-d value, still goes through
+``np.mod``.
 """
 
 from __future__ import annotations
@@ -84,6 +92,24 @@ def log2_exact(n: int, name: str) -> int:
 def _check_finite(arr: np.ndarray, what: str):
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} needs finite points")
+
+
+def _within(arr, top: float) -> bool:
+    """True for a nonempty array with every value in [0, top); NaN fails."""
+    return arr.ndim > 0 and arr.size > 0 and arr.min() >= 0.0 \
+        and arr.max() < top
+
+
+def _mod_one(out):
+    """``np.mod(out, 1.0)`` bit for bit, in place on [0, 2).
+
+    ``out`` must be an array the caller owns, never the caller's argument.
+    """
+    if not _within(out, 2.0):
+        return np.mod(out, 1.0)
+    np.subtract(out, 1.0, out=out, where=out >= 1.0)
+    out += 0.0
+    return out
 
 
 class PiecewiseLinearLift:
@@ -178,8 +204,12 @@ class CircleMap:
     def eval(self, t):
         """Image position in turns: (u(t mod 1) + rotation) mod 1."""
         arr, scalar = _as_array(t)
-        _check_finite(arr, "eval")
-        out = np.mod(self._lift(np.mod(arr, 1.0)) + self.rotation, 1.0)
+        # np.mod would return [0, 1) as it is, up to the sign of a zero,
+        # which the sum below and _mod_one make +0.0 either way
+        if not _within(arr, 1.0):
+            _check_finite(arr, "eval")
+            arr = np.mod(arr, 1.0)
+        out = _mod_one(self._lift(arr) + self.rotation)
         return float(out) if scalar else out
 
     def fourier_coefficients(self, K: int) -> np.ndarray:
@@ -229,7 +259,7 @@ class CircleMap:
                               f"inverse stops being exact, got {tol}")
         arr, scalar = _as_array(y)
         _check_finite(arr, "invert")
-        target = np.mod(arr - self.rotation, 1.0)
+        target = _mod_one(arr - self.rotation)
 
         left = self._bisect_smallest(target, tol)
         right = self._bisect_smallest(target, tol, strict=True)
@@ -239,7 +269,7 @@ class CircleMap:
         # means the lift jumped (not a homeomorphism limit) -> refuse.
         if np.any(resid > np.sqrt(tol) + 10 * self.eval_tolerance + 1e-6):
             raise LabError("invert could not match the target value")
-        out = np.mod(mid, 1.0)
+        out = _mod_one(mid)
         return float(out) if scalar else out
 
     def _bisect_smallest(self, target, tol, strict=False):

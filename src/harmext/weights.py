@@ -14,12 +14,16 @@ A_1 (a Jones-type factorization).
     (avg_B w) * (avg_B w^(1/(1-p)))^(p-1)
 
 with a one-dimensional radial quadrature aligned with the level sets of
-delta, geometrically refined toward the circle.
+delta, geometrically refined toward the circle.  Each refinement stage is
+one array pass over all of a disk's panels at once (a (panels, n) grid of
+radii), summed row by row, so a disk costs a few numpy calls per stage
+rather than a few per panel.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +49,8 @@ class WeightSpec:
 def weight(spec: WeightSpec, x):
     """Evaluate the weight at points of the plane (complex array or radii).
 
-    Accepts complex positions or nonnegative radii; only |x| matters.
+    Accepts complex positions or nonnegative radii; only |x| matters, and
+    a NaN position is refused like a negative radius.
     """
     arr = np.asarray(x)
     radii = np.abs(arr).astype(float)
@@ -53,9 +58,15 @@ def weight(spec: WeightSpec, x):
 
 
 def weight_radial(spec: WeightSpec, radii):
+    """The weight at radii >= 0 (+inf included: the far constant).
+
+    A NaN or negative radius raises DomainError; the NaN clean-up below is
+    only for 0 * inf products of the two factors.
+    """
     arr = np.asarray(radii, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("radii must be nonnegative")
+    # written so that NaN fails it too
+    if not np.all(arr >= 0):
+        raise DomainError("radii must be nonnegative numbers, not NaN")
     scalar = arr.shape == ()
     arr = np.atleast_1d(arr)
     delta = np.abs(1.0 - arr)
@@ -132,6 +143,12 @@ def _disk_average(spec: WeightSpec, power: float, center: complex,
     the disk.  The rho-grid is split at rho = 1 with geometric panels toward
     the circle (the only singular set), each panel integrated by midpoints,
     and refined by node doubling until the value settles within 1%.
+
+    A stage evaluates the weight, its power and ang once, on the (panels, n)
+    array of all midpoints.  Each row is summed with ``np.sum(axis=1)``,
+    the same pairwise sum as over that panel alone, and the row sums are
+    added as floats in panel order, so the value is the one a loop over the
+    panels gives, bit for bit.
     """
     c = abs(center)
     lo = max(0.0, c - radius)
@@ -158,23 +175,29 @@ def _disk_average(spec: WeightSpec, power: float, center: complex,
                 break
         edges.append(1.0)
     edges = np.unique(np.asarray(edges, dtype=float))
+    # one row per panel; np.unique leaves every width positive
+    a = edges[:-1, None]
+    width = (edges[1:] - edges[:-1])[:, None]
 
     prev = None
     history = []
     n = _REFINE_START
     for _ in range(_MAX_REFINES + 1):
+        rho = a + (np.arange(n) + 0.5) * width / n
+        vals = weight_radial(spec, rho)
+        # a zero weight (a midpoint rounded onto the circle) to a negative
+        # power is +inf, like an overflow
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            vals = vals ** power
+        slab = rho * ang(rho) * width / n
+        # plain float additions in panel order (the builtin sum() compensates
+        # since Python 3.12, which would change the last bits)
         total = 0.0
+        for part in np.sum(vals * slab, axis=1).tolist():
+            total += part
         measure = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b <= a:
-                continue
-            rho = a + (np.arange(n) + 0.5) * (b - a) / n
-            vals = weight_radial(spec, rho)
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = vals ** power
-            slab = rho * ang(rho) * (b - a) / n
-            total += float(np.sum(vals * slab))
-            measure += float(np.sum(slab))
+        for part in np.sum(slab, axis=1).tolist():
+            measure += part
         # normalizing by the quadrature's own measure of the disk cancels
         # the discretization of ang(rho), so constant weights average to 1
         # exactly at every refinement stage
@@ -218,6 +241,11 @@ def estimate_ap_constant(spec: WeightSpec, p: float, trials: int = 200,
     """
     if not (math.isfinite(p) and p > 1):
         raise DomainError(f"need finite p > 1, got {p}")
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise DomainError(f"trials must be an integer, got {trials!r}") \
+            from None
     if trials < 1:
         raise DomainError(f"need trials >= 1, got {trials}")
     rng = np.random.default_rng(rng_seed)

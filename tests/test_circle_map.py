@@ -60,6 +60,84 @@ def test_non_finite_points_are_refused(method, bad):
         call(np.array([0.25, bad]))
 
 
+# ------------------------------------------------------- mod-1 reduction
+# eval and invert reduce mod 1 without np.mod where the range allows; the
+# references below are the np.mod forms, compared bit for bit (signbit
+# included) on every range and shape the reduction distinguishes.
+
+BELOW_1 = np.nextafter(1.0, 0.0)
+BELOW_2 = np.nextafter(2.0, 0.0)
+MOD_POINTS = {
+    "unit": [0.0, -0.0, 5e-324, 0.25, 0.5, BELOW_1],
+    "one_to_two": [1.0, 1.25, BELOW_2, 0.0, BELOW_1],
+    "negative": [-0.0, -1e-20, -0.25, -1.0, -BELOW_1, -3.5],
+    "wide": [2.0, 7.25, -7.25, 1e6, 0.5],
+}
+MOD_MAPS = {
+    **{name: build_fleet()[name] for name in FLEET_NAMES},
+    "rotation_below_1": circle_map.rotation_map(BELOW_1),
+    "rotation_minus_zero": circle_map.rotation_map(-0.0),
+    "rotation_negative": circle_map.rotation_map(-0.25),
+    "rotation_past_1": circle_map.rotation_map(1.75),
+    "pl_rotated": circle_map.CircleMap(
+        lift=circle_map.piecewise_linear(PL).lift, rotation=BELOW_1),
+}
+
+
+def _mod_eval(m, t):
+    arr = np.asarray(t, dtype=float)
+    return np.mod(m._lift(np.mod(arr, 1.0)) + m.rotation, 1.0)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("points", sorted(MOD_POINTS))
+@pytest.mark.parametrize("name", sorted(MOD_MAPS))
+def test_eval_is_the_np_mod_form_bit_for_bit(name, points):
+    m, t = MOD_MAPS[name], np.array(MOD_POINTS[points])
+    assert _same_bits(m.eval(t), _mod_eval(m, t))
+    for x in t:
+        got = m.eval(x)
+        assert isinstance(got, float)
+        assert _same_bits(got, _mod_eval(m, x)), x
+
+
+@pytest.mark.parametrize("name", sorted(MOD_MAPS))
+def test_eval_of_no_points(name):
+    got = MOD_MAPS[name].eval(np.array([]))
+    assert got.shape == (0,) and got.dtype == float
+
+
+@pytest.mark.parametrize("points", sorted(MOD_POINTS))
+@pytest.mark.parametrize("name", sorted(MOD_MAPS))
+def test_invert_is_the_np_mod_form_bit_for_bit(name, points, monkeypatch):
+    m, y = MOD_MAPS[name], np.array(MOD_POINTS[points])
+    got = m.invert(y)
+    got_scalar = [m.invert(x) for x in y]
+    monkeypatch.setattr(circle_map, "_mod_one", lambda v: np.mod(v, 1.0))
+    assert _same_bits(got, m.invert(y))
+    for x, g in zip(y, got_scalar):
+        assert isinstance(g, float)
+        assert _same_bits(g, m.invert(x)), x
+    assert m.invert(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.75])
+def test_eval_and_invert_leave_their_argument_alone(rho):
+    # the identity's lift hands its argument back, so a reduction in place
+    # would write into the caller's array
+    m = circle_map.rotation_map(rho) if rho else circle_map.identity()
+    for t in (np.array([0.0, 0.25, BELOW_1]), np.array([0.5, 1.5])):
+        keep = t.copy()
+        m.eval(t)
+        m.invert(t)
+        assert _same_bits(t, keep)
+
+
 # ---------------------------------------------------------- dyadic table
 # The |Dh| stage reads the map at the dyadic points k/n through the table
 # of boundary samples e^(2 pi i eval(k/n)) that its extension holds.
