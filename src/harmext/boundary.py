@@ -316,39 +316,37 @@ class InverseGeometry:
         d = np.minimum(d, 1.0 - d)
         # distinct offsets always have distinct preimages, but ``invert``
         # resolves them only to its grid k 2^-n: two targets closer than
-        # that can land on one grid point (on the staircase, whose default
-        # tol gives a 2^-19 grid, every chord floored at 28 rings does)
-        # and a 0 chord would make the kernel report a spurious
-        # divergence; floor at 2^-50, the finest grid ``invert`` allows
+        # that can land on one grid point (on the staircase, whose tol
+        # gives a 2^-19 grid, every chord floored at 28 rings does) and a
+        # 0 chord would make the kernel report a spurious divergence;
+        # floor at 2^-50, below 2^-49, the finest grid ``invert`` uses
         d = np.maximum(d, 2.0 ** -50)
         return cls(description=circle_map.description, inv_chords=_chord(d),
                    offset_weights=wts)
 
 
 def inverse_kernel_geometries(circle_map: CircleMap, n_outer: int = 192,
-                              nodes_per_ring: int = 32, total_rings: int = 28,
-                              refine_check: bool = True) -> tuple:
+                              nodes_per_ring: int = 32,
+                              total_rings: int = 28) -> tuple:
     """The map-only stage of V: the fine geometry and the coarse one.
 
     The coarse geometry (half the nodes) serves the refinement check that
-    classifies the value; it is None when ``refine_check`` is off.
+    classifies the value.
     """
     fine = InverseGeometry.build(circle_map, n_outer, nodes_per_ring,
                                  total_rings)
-    coarse = InverseGeometry.build(
-        circle_map, n_outer // 2, max(nodes_per_ring // 2, 4),
-        total_rings) if refine_check else None
+    coarse = InverseGeometry.build(circle_map, n_outer // 2,
+                                   max(nodes_per_ring // 2, 4), total_rings)
     return fine, coarse
 
 
 def inverse_kernel_energy(circle_map: CircleMap, params: EnergyParams,
                           n_outer: int = 192, nodes_per_ring: int = 32,
-                          total_rings: int = 28,
-                          refine_check: bool = True) -> EnergyReport:
+                          total_rings: int = 28) -> EnergyReport:
     """The kernel double integral V with positive-part outer power."""
     return evaluate_inverse_kernel(
         inverse_kernel_geometries(circle_map, n_outer, nodes_per_ring,
-                                  total_rings, refine_check), params)
+                                  total_rings), params)
 
 
 def evaluate_inverse_kernel(geometries: tuple,
@@ -362,17 +360,16 @@ def evaluate_inverse_kernel(geometries: tuple,
                             value=math.inf, classification="diverging",
                             notes={"map": fine.description})
     value, inner, notes = _v_value(fine, params)
+    coarse_value, _, _ = _v_value(coarse, params)
+    notes["coarse_value"] = coarse_value
     classification = "inconclusive"
-    if coarse is not None:
-        coarse_value, _, _ = _v_value(coarse, params)
-        notes["coarse_value"] = coarse_value
-        denom = max(abs(value), 1e-12)
-        if abs(value - coarse_value) / denom < 0.05 or \
-                (abs(value) < 1e-9 and abs(coarse_value) < 1e-9):
-            classification = "converged"
-        elif np.isinf(value) or (abs(coarse_value) > 0
-                                 and value > 4 * abs(coarse_value)):
-            classification = "diverging"
+    denom = max(abs(value), 1e-12)
+    if abs(value - coarse_value) / denom < 0.05 or \
+            (abs(value) < 1e-9 and abs(coarse_value) < 1e-9):
+        classification = "converged"
+    elif np.isinf(value) or (abs(coarse_value) > 0
+                             and value > 4 * abs(coarse_value)):
+        classification = "diverging"
     rep = EnergyReport(functional="inverse_kernel", params=params,
                        levels=[0], per_level=np.array([value]), value=value,
                        classification=classification, notes=notes)

@@ -227,21 +227,6 @@ def f_exact(tree: StaircaseTree, x: Fraction, max_step: int | None = None):
         Fraction(1, 1 << (max_step + 1))
 
 
-def f_eval(tree: StaircaseTree, x, tol: float) -> float:
-    """Staircase value within absolute tolerance tol (DepthBudgetError if
-    the built depth cannot deliver it)."""
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    need = 0
-    while 2.0 ** -(need + 1) > tol:
-        need += 1
-        if need > tree.schedule.depth:
-            raise DepthBudgetError(
-                f"tol {tol:g} needs depth > {tree.schedule.depth}")
-    val, _ = f_exact(tree, x, max_step=max(need, 1))
-    return float(val)
-
-
 # -------------------------------------------------------------- the lift
 
 class StaircaseLift(PiecewiseLinearLift):
@@ -386,16 +371,12 @@ def certify_modulus(tree: StaircaseTree, form: str, exponent: float,
                 if 0 <= a and c <= 1:
                     pairs.append((a, c))
 
-    # residual-interval spans: between consecutive plateaus of depth <= n
-    # the function rises by a full dyadic step over the shortest possible
-    # distance, so these pairs are the extremal candidates at every scale
-    merged = []
+    # residual-interval spans: the gaps left after step n lie between
+    # consecutive plateaus of depth <= n, where the function rises by a
+    # full dyadic step over the shortest possible distance, so these pairs
+    # are the extremal candidates at every scale
     for n in range(1, sched.depth + 1):
-        merged = sorted(merged + [(lo, hi) for lo, hi, _v
-                                  in tree.plateaus[n]])
-        cuts = [Fraction(0)] + [e for iv in merged for e in iv] \
-            + [Fraction(1)]
-        pairs.extend((a, b) for a, b in zip(cuts[::2], cuts[1::2]) if a < b)
+        pairs.extend((lo, hi) for lo, hi, _f in tree.gaps[n])
 
     sup = -math.inf
     witness = None

@@ -356,6 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "csv"), default=None)
         sp.add_argument("--config", default=None,
                         help="JSON file supplying defaults for the flags")
+        # _apply_config converts config values with this parser's flags
+        sp.set_defaults(subparser=sp)
 
     sp = sub.add_parser("energy", help="evaluate functionals at one point")
     common(sp)
@@ -380,20 +382,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action, key: str, val):
+    """A config value converted as its text would be on the command line:
+    by the flag's own ``type``, then checked against its ``choices``."""
+    if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+        raise LabError(f"config key {key!r} needs a string or a number, "
+                       f"got {json.dumps(val)}")
+    text = str(val)
+    try:
+        out = action.type(text) if action.type else text
+    except (TypeError, ValueError):
+        raise LabError(f"config key {key!r}: invalid "
+                       f"{action.type.__name__} value: {text!r}") from None
+    if action.choices is not None and out not in action.choices:
+        raise LabError(f"config key {key!r}: invalid choice: {out!r} "
+                       f"(choose from {', '.join(map(repr, action.choices))})")
+    return out
+
+
 def _apply_config(args):
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise LabError("config file must contain a JSON object")
+        # a config file names no further config file
+        flags = {a.dest: a for a in args.subparser._actions
+                 if hasattr(args, a.dest) and a.dest != "config"}
         for key, val in cfg.items():
-            attr = "lam" if key == "lambda" else key
-            if not hasattr(args, attr):
+            action = flags.get("lam" if key == "lambda" else key)
+            if action is None:
                 raise LabError(f"unknown config key {key!r}")
-            if getattr(args, attr) is None:
-                if attr in ("p", "alpha", "lam") and not isinstance(val, list):
-                    val = [val]
-                setattr(args, attr, val)
+            if getattr(args, action.dest) is not None:
+                continue
+            if action.dest in ("p", "alpha", "lam"):
+                val = [_config_value(action, key, v)
+                       for v in (val if isinstance(val, list) else [val])]
+            else:
+                val = _config_value(action, key, val)
+            setattr(args, action.dest, val)
     # fallbacks for everything still unset
     defaults = {"map": "identity", "p": [2.0], "alpha": [0.0], "lam": [0.0],
                 "levels": 12, "functionals": "e1,e2", "seed": 0,

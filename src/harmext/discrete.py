@@ -101,9 +101,7 @@ def _energy(circle_map: CircleMap, params: EnergyParams, max_level: int,
     if max_level < 1:
         raise DomainError("max_level must be >= 1")
     levels = list(range(1, max_level + 1))
-    per_level = np.array([
-        _level_sum(circle_map.level_increments(j), params, functional)
-        for j in levels])
+    per_level = level_sums_for_range(circle_map, params, levels, functional)
     rep = EnergyReport(functional=functional, params=params, levels=levels,
                        per_level=per_level, value=_fsum(per_level))
     rep.notes["map"] = circle_map.description

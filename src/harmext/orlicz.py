@@ -148,13 +148,9 @@ def resolve_breakpoints(p: float, lam: float) -> OrliczSpec:
         raise BreakpointResolutionError(
             f"no admissible t2 below {_GRID_TOP:g} for p={p}, lam={lam}")
 
-    lo, hi = t2_grid / 2.0, t2_grid
-    if lo < _E or not _tail_ok(spec, lo) or not _t2_condition(spec, hi):
-        lo = max(lo, _E)
+    lo, hi = max(t2_grid / 2.0, _E), t2_grid
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if mid < _E:
-            break
         if _t2_condition(spec, mid) and _tail_ok(spec, mid):
             hi = mid
         else:
@@ -209,7 +205,6 @@ class PropertyReport:
     derivative_ratio_sup: float       # sup t f'(t)/f(t), central differences
     quasi_power_sup: dict             # r -> sup over s<=1, t of f(st)/(s^r f(t))
     comparability_sup: float          # sup of max(Psi/Phi, Phi/Psi)
-    grid_size: int
 
 
 # relative tolerance of the second-difference convexity check
@@ -275,5 +270,4 @@ def verify_properties(spec: OrliczSpec, use_psi: bool = False,
                           doubling_sup=float(doubling),
                           derivative_ratio_sup=deriv_ratio,
                           quasi_power_sup=quasi,
-                          comparability_sup=comp,
-                          grid_size=grid.size)
+                          comparability_sup=comp)

@@ -227,8 +227,6 @@ def _disk_average(spec: WeightSpec, power: float, center: complex,
 class ApEstimate:
     value: float          # max over sampled disks of the A_p ratio
     trials: int
-    worst_center: complex
-    worst_radius: float
 
 
 def estimate_ap_constant(spec: WeightSpec, p: float, trials: int = 200,
@@ -250,15 +248,11 @@ def estimate_ap_constant(spec: WeightSpec, p: float, trials: int = 200,
         raise DomainError(f"need trials >= 1, got {trials}")
     rng = np.random.default_rng(rng_seed)
     best = -np.inf
-    best_c, best_r = 0j, 0.0
     for _ in range(trials):
         cx, cy = rng.uniform(-4.0, 4.0, size=2)
         radius = float(np.exp(rng.uniform(math.log(1e-4), math.log(4.0))))
         center = complex(cx, cy)
         avg_w = _disk_average(spec, 1.0, center, radius)
         avg_dual = _disk_average(spec, 1.0 / (1.0 - p), center, radius)
-        ratio = avg_w * avg_dual ** (p - 1.0)
-        if ratio > best:
-            best, best_c, best_r = ratio, center, radius
-    return ApEstimate(value=float(best), trials=trials,
-                      worst_center=best_c, worst_radius=best_r)
+        best = max(best, avg_w * avg_dual ** (p - 1.0))
+    return ApEstimate(value=float(best), trials=trials)

@@ -347,7 +347,7 @@ def v_ratio_table(fleet):
     table = {}
     for name, m in fleet.items():
         geometries = [boundary.inverse_kernel_geometries(
-            m, total_rings=rings, refine_check=False) for rings in (20, 28)]
+            m, total_rings=rings) for rings in (20, 28)]
         for p in P_VALUES:
             params = EnergyParams(p, (p - 3.0) / 2.0, 0.0)
             if name == "staircase_s2":
@@ -401,11 +401,9 @@ class TestShallowStaircase:
             self, shallow_staircase):
         staircase = shallow_staircase
         params = EnergyParams(1.5, -0.5, 0.0)
-        v1 = boundary.inverse_kernel_energy(staircase, params,
-                                            refine_check=False).value
+        v1 = boundary.inverse_kernel_energy(staircase, params).value
         v2 = boundary.inverse_kernel_energy(staircase, params, n_outer=384,
-                                            nodes_per_ring=64,
-                                            refine_check=False).value
+                                            nodes_per_ring=64).value
         assert v2 > 0
         assert abs(v2 - v1) <= 0.02 * abs(v2)
 
@@ -532,7 +530,7 @@ class TestStaircaseFunction:
         tree = cantor.build_tree(cantor.build_schedule("power", s, depth))
         rng = np.random.default_rng(17)
         xs = np.sort(rng.uniform(0.0, 1.0, 100_000))
-        vals = np.array([cantor.f_eval(tree, float(x), tol=2.0 ** -9)
+        vals = np.array([float(cantor.f_exact(tree, float(x), max_step=8)[0])
                          for x in xs])
         assert np.all(np.diff(vals) >= 0.0)
 

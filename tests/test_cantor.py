@@ -112,18 +112,10 @@ def test_f_exact_error_bound_shrinks(tree_s2):
     assert abs(v10 - v5) <= e5 + e10
 
 
-def test_f_eval_tolerance_contract(tree_s2):
-    assert cantor.f_eval(tree_s2, 0.5, tol=1e-3) == pytest.approx(0.5)
-    with pytest.raises(DepthBudgetError):
-        cantor.f_eval(tree_s2, 0.3, tol=1e-9)
-    with pytest.raises(DomainError):
-        cantor.f_eval(tree_s2, 0.3, tol=0.0)
-
-
 def test_f_monotone_on_sorted_sample(tree_s2):
     rng = np.random.default_rng(5)
     xs = np.sort(rng.uniform(0, 1, 10_000))
-    vals = [cantor.f_eval(tree_s2, float(x), tol=2.0 ** -9) for x in xs]
+    vals = [cantor.f_exact(tree_s2, float(x), max_step=8)[0] for x in xs]
     assert all(b >= a for a, b in zip(vals[:-1], vals[1:]))
 
 
@@ -174,10 +166,6 @@ def test_f_exact_refuses_bad_step_and_non_finite_x(tree_s2):
     for x in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             cantor.f_exact(tree_s2, x)
-    with pytest.raises(DomainError):
-        cantor.f_eval(tree_s2, math.nan, 1e-3)
-    with pytest.raises(DomainError):
-        cantor.f_eval(tree_s2, 0.3, math.nan)
 
 
 # ----------------------------------------------------------------- lifts
@@ -302,6 +290,22 @@ def test_modulus_certificate_finite_and_seeded(tree_s2):
 def test_modulus_rejects_unknown_form(tree_s2):
     with pytest.raises(DomainError):
         cantor.certify_modulus(tree_s2, "poly", 1.0)
+
+
+@pytest.mark.parametrize("kind,parameter,depth", [
+    ("power", 2.0, 12), ("power", 1.5, 10), ("double_exp", 2.0, 3)])
+def test_gaps_are_the_spans_between_sorted_plateaus(kind, parameter, depth):
+    # certify_modulus reads its residual-interval pairs off tree.gaps[n]:
+    # the spans between consecutive plateaus of depth <= n, in order
+    tree = cantor.build_tree(cantor.build_schedule(kind, parameter, depth))
+    merged = []
+    for n in range(1, depth + 1):
+        merged = sorted(merged + [(lo, hi) for lo, hi, _v
+                                  in tree.plateaus[n]])
+        cuts = [Fraction(0)] + [e for iv in merged for e in iv] \
+            + [Fraction(1)]
+        spans = [(a, b) for a, b in zip(cuts[::2], cuts[1::2]) if a < b]
+        assert [(lo, hi) for lo, hi, _f in tree.gaps[n]] == spans, n
 
 
 def test_gap_rise_partial_sums():

@@ -16,6 +16,7 @@ from harmext.poisson import PoissonExtension
 from conftest import build_fleet
 
 PL = ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0))
+STEEP = "piecewise_linear:0,0;0.5,0.1;0.50000001,0.9;1,1"
 FLEET_NAMES = ("identity", "rotation", "pl_mild", "pl_kinked", "staircase_s2")
 
 
@@ -182,7 +183,7 @@ def test_dyadic_values_say_when_over_budget():
 
 def test_invert_identity():
     m = circle_map.identity()
-    assert m.invert(0.7, tol=1e-12) == pytest.approx(0.7, abs=1e-10)
+    assert m.invert(0.7) == pytest.approx(0.7, abs=1e-10)
 
 
 def test_invert_piecewise_linear():
@@ -201,17 +202,16 @@ def test_invert_staircase_plateau_midpoint():
     assert m.invert(0.5) == pytest.approx(0.5, abs=1e-6)
 
 
-@pytest.mark.parametrize("tol", [0.0, math.nan, 2.0 ** -51, 1e-300])
-def test_invert_rejects_bad_tolerance(tol):
-    with pytest.raises(DomainError):
-        circle_map.identity().invert(0.5, tol=tol)
-
-
-def test_invert_accepts_the_finest_grid():
-    # tol = 2^-50 gives the grid k 2^-52, still exact in float64
-    m = circle_map.piecewise_linear(PL)
-    assert m.invert(0.7, tol=2.0 ** -50) == pytest.approx(m.invert(0.7),
-                                                          abs=1e-11)
+def test_invert_steep_piece():
+    # the middle piece is 1e-8 wide and rises by 0.8, so one step of the
+    # inverse's grid (2^-42 for a piecewise-linear map) moves the lift by
+    # about 2e-5: no grid point matches the target that closely
+    m = circle_map.from_description(STEEP)
+    t = m.invert(np.linspace(0.0, 1.0, 4096, endpoint=False))
+    assert np.all((t >= 0.0) & (t < 1.0)) and np.all(np.diff(t) >= 0.0)
+    on_piece = 0.5 + np.linspace(0.0, 1e-8, 101)
+    assert np.all(np.abs(m.invert(m.eval(on_piece)) - on_piece)
+                  <= 2.0 ** -42)
 
 
 def test_invert_respects_rotation():

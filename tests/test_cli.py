@@ -141,6 +141,51 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert main(["energy", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("cfg,field,want", [
+    ({"levels": "5"}, "levels", list(range(1, 6))),
+    ({"p": "2.5"}, "p", 2.5),
+    ({"p": ["3"]}, "p", 3.0),
+    ({"lambda": 1}, "lambda", 1.0),
+])
+def test_config_values_convert_as_flag_text(tmp_path, cfg, field, want):
+    # "5" reads as --levels 5 does, and --p values are floats
+    path, out = tmp_path / "run.json", tmp_path / "out.json"
+    path.write_text(json.dumps({"functionals": "e1", "levels": 4, **cfg}))
+    assert main(["energy", "--config", str(path), "--out", str(out)]) == 0
+    (rep,) = json.loads(out.read_text())["reports"]
+    assert rep[field] == want and type(rep[field]) is type(want)
+
+
+@pytest.mark.parametrize("cfg,message", [
+    ({"levels": 2.5}, "config key 'levels': invalid int value: '2.5'"),
+    ({"levels": True}, "config key 'levels' needs a string or a number"),
+    ({"seed": [1]}, "config key 'seed' needs a string or a number"),
+    ({"p": [None]}, "config key 'p' needs a string or a number"),
+    ({"alpha": "half"}, "config key 'alpha': invalid float value"),
+    ({"format": "xml"}, "config key 'format': invalid choice: 'xml'"),
+    ({"map": 5}, "unrecognized map description '5'"),
+    ({"config": "other.json"}, "unknown config key 'config'"),
+])
+def test_config_values_the_flags_refuse(tmp_path, capsys, cfg, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"functionals": "e1", "levels": 4, **cfg}))
+    assert main(["energy", "--config", str(path),
+                 "--out", str(tmp_path / "out.json")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_energy_v_of_a_map_with_a_steep_piece(tmp_path):
+    # a 1e-8-wide piece rising by 0.8: the grid of the inverse cannot
+    # match the target values on it to better than about 2e-5
+    out = tmp_path / "v.json"
+    code = main(["energy", "--map",
+                 "piecewise_linear:0,0;0.5,0.1;0.50000001,0.9;1,1",
+                 "--functionals", "v", "--out", str(out)])
+    assert code == 0
+    (rep,) = json.loads(out.read_text())["reports"]
+    assert math.isfinite(rep["value"])
+
+
 # ------------------------------------------------------------------ sweep
 
 def test_sweep_region_labels(tmp_path):
