@@ -51,6 +51,12 @@ from .errors import (ConstructionError, DepthBudgetError, DomainError)
 
 _HALF = Fraction(1, 2)
 _FLOAT_MARGIN_BITS = 48   # float tables stop once margins drop below 2^-48
+# finest margin 2^-j a schedule may ask for: the tree keeps its endpoints
+# exactly, and one with a 2^j denominator takes j/8 bytes (2 MB at the cap).
+# The examples reach j = 4,095 (power s = 2/3, depth 8) and 2,980
+# (double_exp p = 2, depth 3); double_exp p = 2 at depth 5 has
+# j = 7.9e13, whose tree would exhaust memory.
+MAX_MARGIN_EXPONENT = 1 << 24
 
 
 def strict_floor(x: float) -> int:
@@ -91,26 +97,32 @@ class RemovalSchedule:
 
 
 def build_schedule(kind: str, parameter: float, depth: int) -> RemovalSchedule:
+    """The schedule j_1..j_depth of one kind; DepthBudgetError names the
+    first step whose j_n passes ``MAX_MARGIN_EXPONENT``."""
     if depth < 2:
         raise DomainError("need depth >= 2")
+    # written so that NaN fails them too
+    if kind == "power":
+        if not parameter > 0:
+            raise DomainError("power schedule needs s > 0")
+    elif kind == "double_exp":
+        if not parameter > 1:
+            raise DomainError("double_exp schedule needs p > 1")
+    else:
+        raise DomainError(f"unknown schedule kind {kind!r}")
     js = []
     for n in range(1, depth + 1):
-        if kind == "power":
-            s = parameter
-            if s <= 0:
-                raise DomainError("power schedule needs s > 0")
-            js.append(strict_floor(2.0 ** (n / s)))
-        elif kind == "double_exp":
-            p = parameter
-            if p <= 1:
-                raise DomainError("double_exp schedule needs p > 1")
-            expo = 2.0 ** (n * (p - 1))
-            if expo > 700:
-                raise DepthBudgetError(
-                    f"double_exp step {n} overflows (exp(2^{n*(p-1):g}))")
-            js.append(strict_floor(math.exp(expo)))
-        else:
-            raise DomainError(f"unknown schedule kind {kind!r}")
+        try:
+            x = 2.0 ** (n / parameter) if kind == "power" \
+                else math.exp(2.0 ** (n * (parameter - 1)))
+            j = strict_floor(x)
+        except OverflowError:
+            j = math.inf
+        if j > MAX_MARGIN_EXPONENT:
+            raise DepthBudgetError(
+                f"{kind} step {n} has j_{n} = {j:.4g}, past the cap of "
+                f"{MAX_MARGIN_EXPONENT} on margin exponents (margins 2^-j)")
+        js.append(j)
 
     n0 = None
     for cand in range(1, depth + 1):
@@ -229,8 +241,16 @@ def f_exact(tree: StaircaseTree, x: Fraction, max_step: int | None = None):
 
 # -------------------------------------------------------------- the lift
 
+def _linear_piece(freq: np.ndarray, width: float) -> np.ndarray:
+    """int_0^width exp(2 pi i freq t) dt = width e^(pi i freq width)
+    sinc(freq width), per entry of freq."""
+    x = freq * width
+    return width * np.exp(1j * np.pi * x) * np.sinc(x)
+
+
 class StaircaseLift(PiecewiseLinearLift):
-    """Lift g = (f + id)/2 of the staircase map, with fast dyadic sums.
+    """Lift g = (f + id)/2 of the staircase map, with fast dyadic sums and
+    Fourier coefficients by the self-similar recursion.
 
     The breakpoints are the plateau endpoints of the first ``float_depth``
     steps, whose margins stay within float resolution: interpolating them
@@ -273,6 +293,39 @@ class StaircaseLift(PiecewiseLinearLift):
         if same is not True:
             return same
         return self.tree.schedule == other.tree.schedule
+
+    def fourier_coefficients_at(self, ks) -> np.ndarray:
+        """int_0^1 exp(2 pi i (g(t) - k t)) dt at the integer frequencies ks,
+        by the self-similar recursion over the float_depth steps.
+
+        Every gap left after step n has the width m_n = 2^-e_n (w_0 = 1
+        for the whole interval, w_n = m_n) and, up to translation, one
+        lift.  With J_n the integral over one such gap from its left end,
+        a gap of step n-1 is a gap of step n, a plateau of slope 1/2 and
+        width p_n = w_(n-1) - 2 m_n, and a second gap of step n:
+
+            J_(n-1) = J_n (1 + e(Y_n - k X_n)) + e(Y'_n - k m_n) P_n,
+
+        with e(x) = exp(2 pi i x), X_n = w_(n-1) - m_n, Y_n = (2^-n + X_n)/2,
+        Y'_n = (2^-n + m_n)/2 and P_n the plateau's integral.  At the
+        bottom, J_D is one linear piece of slope (2^-D + m_D)/(2 m_D), and
+        c_k = J_0.  That is O(float_depth) per frequency against O(pieces)
+        for the sum over the pieces, which it matches to rounding; each c_k
+        still depends on k alone.
+        """
+        k = np.asarray(ks, dtype=float).reshape(-1)
+        exps = self.tree.schedule.margin_exponents[:self.float_depth]
+        m = math.ldexp(1.0, -exps[-1])
+        slope = (math.ldexp(1.0, -self.float_depth) + m) / (2 * m)
+        J = _linear_piece(slope - k, m)
+        for n in range(self.float_depth, 0, -1):
+            m = math.ldexp(1.0, -exps[n - 1])
+            w = math.ldexp(1.0, -exps[n - 2]) if n > 1 else 1.0
+            rise, X = math.ldexp(1.0, -n), w - m
+            J *= 1.0 + np.exp(2j * np.pi * ((rise + X) / 2 - k * X))
+            J += np.exp(2j * np.pi * ((rise + m) / 2 - k * m)) \
+                * _linear_piece(0.5 - k, w - 2 * m)
+        return J
 
     # structure-aware dyadic increments -------------------------------
 

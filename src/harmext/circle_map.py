@@ -7,9 +7,12 @@ rotation offset ``rho``; the map itself sends ``exp(2 pi i t)`` to
 breakpoints (xs, ys) that it interpolates linearly, checked once and
 exactly where they are made.  The lift is nondecreasing, so plateau maps
 (limits of homeomorphisms, e.g. devil-staircase boundary data) are
-admissible.  The breakpoints give the Fourier coefficients of the map in
-closed form (``fourier_coefficients``); the staircase lift of ``cantor``
-is a subclass that adds exact dyadic increments.
+admissible.  The lift owns the Fourier coefficients of exp(2 pi i u)
+(``fourier_coefficients_at``): a piecewise-linear lift sums them in
+closed form over its pieces, and the staircase lift of ``cantor``, a
+subclass that also adds exact dyadic increments, by its self-similar
+recursion.  The map's coefficients (``fourier_coefficients``) are the
+lift's times e^(2 pi i rho).
 
 Inversion solves on a dyadic grid k 2^-n, n = ceil(-log2 tol) + 2, with
 the one tolerance tol = max(eval_tolerance 1e-2, 1e-14), so the grid is
@@ -148,6 +151,31 @@ class PiecewiseLinearLift:
         xs.flags.writeable = ys.flags.writeable = False
         self.xs, self.ys = xs, ys
 
+    def fourier_coefficients_at(self, ks) -> np.ndarray:
+        """int_0^1 exp(2 pi i (u(t) - k t)) dt at the integer frequencies ks.
+
+        On a linear piece of width dx and rise dy with midpoint (xm, ym),
+        the integral over the piece is exactly
+        dx exp(2 pi i (ym - k xm)) sinc(dy - k dx), sinc(x) = sin(pi x)/(pi x);
+        this midpoint form has no cancellation where the slope meets k.
+        Each c_k is its own sum over the pieces, so it does not depend on
+        which other frequencies are asked for alongside it.  The sum runs
+        over blocks of about ``_COEFF_BLOCK`` pieces x frequencies (one
+        frequency at a time once the pieces alone exceed it).
+        """
+        ks = np.asarray(ks)
+        xs, ys = self.xs, self.ys
+        dx, dy = np.diff(xs), np.diff(ys)
+        xm, ym = (xs[:-1] + xs[1:]) / 2, (ys[:-1] + ys[1:]) / 2
+        out = np.empty(ks.size, dtype=complex)
+        step = max(1, _COEFF_BLOCK // dx.size)
+        for start in range(0, ks.size, step):
+            k = ks[start:start + step, None].astype(float)
+            terms = dx * np.exp(2j * np.pi * (ym - k * xm)) \
+                * np.sinc(dy - k * dx)
+            out[start:start + step] = terms.sum(axis=1)
+        return out
+
     def __eq__(self, other):
         """Equal lifts: one class, equal breakpoints, one eval_tolerance.
 
@@ -222,27 +250,10 @@ class CircleMap:
         return self.fourier_coefficients_at(np.arange(-K, K + 1))
 
     def fourier_coefficients_at(self, ks) -> np.ndarray:
-        """c_k of exp(2 pi i (u(t) + rho)) at the integer frequencies ks.
-
-        On a linear piece of width dx and rise dy with midpoint (xm, ym),
-        int exp(2 pi i (u(t) - k t)) dt over the piece is exactly
-        dx exp(2 pi i (ym - k xm)) sinc(dy - k dx), sinc(x) = sin(pi x)/(pi x);
-        this midpoint form has no cancellation where the slope meets k.
-        Each c_k is its own sum over the pieces, so it does not depend on
-        which other frequencies are asked for alongside it.
-        """
-        ks = np.asarray(ks)
-        xs, ys = self.lift.xs, self.lift.ys
-        dx, dy = np.diff(xs), np.diff(ys)
-        xm, ym = (xs[:-1] + xs[1:]) / 2, (ys[:-1] + ys[1:]) / 2
-        out = np.empty(ks.size, dtype=complex)
-        step = max(1, _COEFF_BLOCK // dx.size)
-        for start in range(0, ks.size, step):
-            k = ks[start:start + step, None].astype(float)
-            terms = dx * np.exp(2j * np.pi * (ym - k * xm)) \
-                * np.sinc(dy - k * dx)
-            out[start:start + step] = terms.sum(axis=1)
-        return np.exp(2j * np.pi * self.rotation) * out
+        """c_k of exp(2 pi i (u(t) + rho)) at the integer frequencies ks:
+        e^(2 pi i rho) times the lift's own coefficients."""
+        return np.exp(2j * np.pi * self.rotation) \
+            * self.lift.fourier_coefficients_at(ks)
 
     # -------------------------------------------------------------- invert
 

@@ -10,8 +10,9 @@ and the differential is measured by the operator norm
     |Dh|(z) = |h_z(z)| + |h_zbar(z)|.
 
 Pointwise evaluation sums the Fourier series of h with the exact
-coefficients c_k of phi (``CircleMap.fourier_coefficients``, closed form
-over the linear pieces of the lift):
+coefficients c_k of phi (``CircleMap.fourier_coefficients``, which the
+lift gives in closed form over its pieces, or by the staircase's
+self-similar recursion):
 
     h(z)      = c_0 + sum_{k>=1} (c_k z^k + c_{-k} zbar^k),
     h_z(z)    = sum_{k>=1} k c_k z^(k-1),
@@ -21,8 +22,11 @@ each cut at K = floor(37 / (1 - |z|_max)) + 1 terms, past which |z|^k is
 below 1e-16.  A point that needs more than 2^20 terms (|z| > 1 - 3.5e-5)
 raises PrecisionError naming its K.  The coefficients for the largest K
 asked so far are kept on the extension; a larger K computes only the new
-frequencies and splices them around the ones held.  The tests check
-h_z and h_zbar against central differences of ``extend``.
+frequencies and splices them around the ones held.  Each series is summed
+in blocks of B = ceil(sqrt(K)) terms (``_power_series``): a (points x B)
+table of powers, one matrix product for the block sums and Horner's rule
+in z^B over the blocks, about sqrt(K) array steps in place of K.  The
+tests check h_z and h_zbar against central differences of ``extend``.
 
 The weighted Dirichlet-type integrals
 
@@ -70,7 +74,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .circle_map import MAX_LEVEL_CELLS, CircleMap, log2_exact
 from .errors import DomainError, LabError, PrecisionError
@@ -115,6 +118,37 @@ def _exp_turns(turns: np.ndarray) -> np.ndarray:
     """e^(2 pi i t) of positions t in turns, in one fresh array."""
     out = np.multiply(turns, 2j * np.pi)
     return np.exp(out, out=out)
+
+
+def _power_series(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_t coeffs[t] z^t, t = 0..K-1, at each point of z, in blocks.
+
+    With B = ceil(sqrt(K)), the powers z^t, t < B, form one (points x B)
+    table, built by doubling; one matrix product with the coefficients
+    reshaped to (K/B, B) gives the block sums, and Horner's rule in z^B
+    runs over the K/B blocks.  That is about sqrt(K) array steps in place
+    of K, in O(points x B) memory.
+    """
+    K = coeffs.size
+    B = math.isqrt(K - 1) + 1         # ceil(sqrt(K)), K >= 1
+    n_blocks = -(-K // B)
+    blocks = np.zeros(n_blocks * B, dtype=complex)
+    blocks[:K] = coeffs
+    powers = np.empty((z.size, B), dtype=complex)
+    powers[:, 0] = 1.0
+    zp, filled = z, 1                 # zp = z^filled
+    while filled < B:
+        step = min(filled, B - filled)
+        np.multiply(powers[:, :step], zp[:, None],
+                    out=powers[:, filled:filled + step])
+        zp, filled = zp * zp, 2 * filled
+    sums = powers @ blocks.reshape(n_blocks, B).T
+    zB = powers[:, -1] * z
+    out = sums[:, -1].copy()
+    for b in range(n_blocks - 2, -1, -1):
+        out *= zB
+        out += sums[:, b]
+    return out
 
 
 def _tail_estimate(a_J: float, J: int, alpha: float, mu: float) -> float:
@@ -214,8 +248,8 @@ class PoissonExtension:
         arr = np.atleast_1d(arr)
         self._check_inside(arr)
         c0, pos, neg = self._series_coeffs(arr)
-        out = c0 + arr * polyval(arr, pos) \
-            + np.conj(arr) * polyval(np.conj(arr), neg)
+        out = c0 + arr * _power_series(arr, pos) \
+            + np.conj(arr) * _power_series(np.conj(arr), neg)
         return complex(out[0]) if scalar else out
 
     def wirtinger(self, z):
@@ -226,7 +260,8 @@ class PoissonExtension:
         self._check_inside(arr)
         _, pos, neg = self._series_coeffs(arr)
         k = np.arange(1, pos.size + 1)
-        hz, hzb = polyval(arr, k * pos), polyval(np.conj(arr), k * neg)
+        hz = _power_series(arr, k * pos)
+        hzb = _power_series(np.conj(arr), k * neg)
         if scalar:
             return complex(hz[0]), complex(hzb[0])
         return hz, hzb

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from harmext import cantor
+from harmext.circle_map import PiecewiseLinearLift, from_description
 from harmext.errors import (ConstructionError, DepthBudgetError, DomainError)
 
 
@@ -52,6 +53,26 @@ def test_schedule_error_paths():
     with pytest.raises(ConstructionError):
         # shallow depth never reaches the admissible regime for steep s
         cantor.build_schedule("power", 8.0, 3)
+
+
+def test_schedule_past_the_exponent_cap_raises_before_any_tree():
+    # double_exp p = 2 has j_5 = 7.9e13: a tree with margin 2^-j_5 would
+    # exhaust memory, so the schedule is refused, naming the step
+    for build in (lambda: cantor.build_schedule("double_exp", 2.0, 5),
+                  lambda: from_description("cantor_loglog:p=2,depth=5")):
+        with pytest.raises(DepthBudgetError, match="step 5 has j_5 = "):
+            build()
+    assert cantor.build_schedule("double_exp", 2.0, 4).j[-1] \
+        <= cantor.MAX_MARGIN_EXPONENT
+    # 2^(1/s) overflows a float here
+    with pytest.raises(DepthBudgetError, match="step 1 has j_1 = inf"):
+        cantor.build_schedule("power", 1e-4, 2)
+
+
+@pytest.mark.parametrize("kind", ["power", "double_exp"])
+def test_schedule_refuses_a_nan_parameter(kind):
+    with pytest.raises(DomainError):
+        cantor.build_schedule(kind, math.nan, 5)
 
 
 # ------------------------------------------------------------------ trees
@@ -269,6 +290,17 @@ def test_split_tables_do_not_depend_on_level_order(spec):
     lift = cantor.make_staircase_map(*spec).lift
     _assert_groups_match(lift, range(127, 0, -1))
 
+
+@pytest.mark.parametrize("spec", (("power", 2.0, 10),) + SPLIT_TABLE_MAPS)
+def test_coefficient_recursion_matches_the_piece_sum(spec):
+    # |k| <= 4096, plus 400 frequencies near +-1e5
+    lift = cantor.make_staircase_map(*spec).lift
+    far = np.random.default_rng(5).integers(-200, 200, 200) + 100_000
+    ks = np.concatenate([np.arange(-4096, 4097), far, -far])
+    np.testing.assert_allclose(
+        lift.fourier_coefficients_at(ks),
+        PiecewiseLinearLift.fourier_coefficients_at(lift, ks),
+        rtol=0, atol=1e-13)
 
 def test_level_increments_beyond_schedule_raise():
     m = cantor.make_staircase_map("power", 2.0, 10)

@@ -7,7 +7,7 @@ import pytest
 
 from harmext import circle_map
 from harmext.errors import DomainError, PrecisionError
-from harmext.poisson import _G4X, PoissonExtension
+from harmext.poisson import _G4X, PoissonExtension, _power_series
 from harmext.report import EnergyParams
 
 from conftest import wirtinger_fd
@@ -188,6 +188,40 @@ def test_growing_series_keeps_exact_coefficients(fleet, name):
     np.testing.assert_array_equal(grown._point_coeffs, fresh._point_coeffs)
     np.testing.assert_array_equal(grown._point_coeffs,
                                   fleet[name].fourier_coefficients(371))
+
+
+@pytest.mark.parametrize("K", [1, 2, 38, 371, 37001])
+def test_blocked_power_series_matches_horner(K):
+    rng = np.random.default_rng(K)
+    coeffs = rng.normal(size=K) + 1j * rng.normal(size=K)
+    r = np.array([0.0, 0.3, 0.9, 1.0 - 37.0 / (K + 1)])
+    z = r * np.exp(2j * np.pi * rng.random(r.size))
+    horner = np.zeros(z.size, dtype=complex)
+    for c in coeffs[::-1]:
+        horner = horner * z + c
+    # the size of the terms bounds the rounding of either order
+    scale = np.abs(z)[:, None] ** np.arange(K) @ np.abs(coeffs)
+    err = np.abs(_power_series(z, coeffs) - horner)
+    assert np.all(err <= 1e-13 * scale), K
+
+
+def test_staircase_points_near_the_circle_match_an_fft_oracle(fleet):
+    # oracle: the series summed here with the FFT coefficients of 2^20
+    # boundary samples, at the tolerance of the benchmark gate
+    m = fleet["staircase_s2"]
+    n = 1 << 20
+    c = np.fft.fft(np.exp(2j * np.pi * m.eval(np.arange(n) / n))) / n
+    z = 0.999 * np.exp(2j * np.pi * np.random.default_rng(9).random(3))
+    k = np.arange(1, 40_000)
+    zk = z[:, None] ** (k - 1)
+    want_h = c[0] + z * (zk @ c[k]) + np.conj(z) * (np.conj(zk) @ c[-k])
+    want_hz, want_hzb = zk @ (k * c[k]), np.conj(zk) @ (k * c[-k])
+    ext = PoissonExtension(m)
+    hz, hzb = ext.wirtinger(z)
+    tol = 1e-7 / (1 - 0.999)
+    for got, want in ((ext.extend(z), want_h), (hz, want_hz),
+                      (hzb, want_hzb)):
+        assert np.all(np.abs(got - want) <= tol * np.maximum(1, np.abs(want)))
 
 
 # --------------------------------------------------------- bulk sampling
