@@ -18,22 +18,19 @@ The limit function f is a devil-staircase: constant on every kept plateau
 left after step n.  The circle map uses the lift g = (f + id)/2, which is
 strictly increasing with slope >= 1/2, hence a homeomorphism lift.
 
-All endpoints are dyadic rationals, kept exactly as Fractions in the
-public ``StaircaseTree``.  That makes a fast path for dyadic-level
-increments possible: at level j pick the first step m whose margin is
-<= 2^-j; every gap after step m is then contained in a single dyadic cell
-(gap endpoints are multiples of the gap length, which divides the cell
-width), and f rises by exactly 2^-m across each gap.  So the lift increment
-of a cell is (count * 2^-m + 2^-j)/2 where count is the number of gaps it
-contains -- no enumeration of the 2^j cells required.
+All endpoints are dyadic rationals.  Every gap left after step n has one
+width m_n = 2^-e_n (e_n the margin exponent, w_0 = 1), its endpoints are
+multiples of that width, and its two children sit at its two ends.  So
+``StaircaseLift`` builds its float breakpoints from the schedule alone,
+and so are its dyadic increments: at level j, with m the first step
+whose e_m >= j, each gap of step m-1 spans at least two whole cells and
+puts its two children in two of them.  The 2^m cells that hold one gap
+each gain (2^-m + 2^-j)/2, and the other 2^j - 2^m gain 2^-(j+1).
 
-The exact bookkeeping of both hot paths runs on Python integers.  For each
-step m the lift keeps a split-level table: with the sorted gap left
-endpoints scaled to integers A_i = lo_i 2^E, gaps i and i+1 fall in
-different dyadic cells from level split_i = E - bitlength(A_i xor A_i+1) + 1
-on, so the counts of level j are the run lengths between the indices with
-split_i <= j.  ``f_exact`` walks the construction with every endpoint
-scaled by q 2^E (x = P/q) and builds its two Fractions only at the end.
+The exact tree of Fractions (``build_tree``) serves ``f_exact`` and
+``certify_modulus``.  ``f_exact`` walks the construction with every
+endpoint scaled by q 2^E (x = P/q) and builds its two Fractions only at
+the end.
 """
 
 from __future__ import annotations
@@ -46,17 +43,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle_map import CircleMap, PiecewiseLinearLift
+from .circle_map import (CircleMap, LevelIncrements,
+                         PiecewiseLinearLift, log_ldexp)
 from .errors import (ConstructionError, DepthBudgetError, DomainError)
 
-_HALF = Fraction(1, 2)
 _FLOAT_MARGIN_BITS = 48   # float tables stop once margins drop below 2^-48
-# finest margin 2^-j a schedule may ask for: the tree keeps its endpoints
-# exactly, and one with a 2^j denominator takes j/8 bytes (2 MB at the cap).
-# The examples reach j = 4,095 (power s = 2/3, depth 8) and 2,980
-# (double_exp p = 2, depth 3); double_exp p = 2 at depth 5 has
-# j = 7.9e13, whose tree would exhaust memory.
+# finest margin 2^-j a schedule may ask for: it bounds the j-bit counts
+# of a level's increments and the tree's endpoints (j/8 bytes each, 2 MB
+# at the cap).  The examples reach j = 4,095 (power s = 2/3, depth 8) and
+# 2,980 (double_exp p = 2, depth 3); double_exp p = 2 at depth 5 has
+# j = 7.9e13.
 MAX_MARGIN_EXPONENT = 1 << 24
+MAX_TREE_GAPS = 1 << 17   # 2^(depth+1) gaps; depth 16 takes 4 s and 43 MB
 
 
 def strict_floor(x: float) -> int:
@@ -157,6 +155,12 @@ class StaircaseTree:
 
 
 def build_tree(schedule: RemovalSchedule) -> StaircaseTree:
+    """The exact tree of a schedule; DepthBudgetError, before anything is
+    built, when its 2^(depth+1) gaps pass ``MAX_TREE_GAPS``."""
+    if 1 << (schedule.depth + 1) > MAX_TREE_GAPS:
+        raise DepthBudgetError(
+            f"a tree of depth {schedule.depth} keeps 2^{schedule.depth + 1} "
+            f"gaps, past the budget of {MAX_TREE_GAPS}")
     gaps = [(Fraction(0), Fraction(1), Fraction(0))]
     all_plateaus = [[]]   # index 0 unused
     all_gaps = [list(gaps)]
@@ -249,8 +253,8 @@ def _linear_piece(freq: np.ndarray, width: float) -> np.ndarray:
 
 
 class StaircaseLift(PiecewiseLinearLift):
-    """Lift g = (f + id)/2 of the staircase map, with fast dyadic sums and
-    Fourier coefficients by the self-similar recursion.
+    """Lift g = (f + id)/2 of the staircase map, with dyadic increments and
+    Fourier coefficients from the schedule.
 
     The breakpoints are the plateau endpoints of the first ``float_depth``
     steps, whose margins stay within float resolution: interpolating them
@@ -258,27 +262,35 @@ class StaircaseLift(PiecewiseLinearLift):
     which is the step-``float_depth`` approximant of the limit.
     """
 
-    def __init__(self, tree: StaircaseTree):
-        self.tree = tree
-        self._split_levels: dict = {}     # step m -> split-level table
-        sched = tree.schedule
-        self.float_depth = 0
-        for n in range(1, sched.depth + 1):
-            if sched.margin_exponent(n) > _FLOAT_MARGIN_BITS:
-                break
-            self.float_depth = n
+    def __init__(self, schedule: RemovalSchedule):
+        self.schedule = schedule
+        exps = schedule.margin_exponents
+        self.float_depth = next((n for n, e in enumerate(exps)
+                                 if e > _FLOAT_MARGIN_BITS), len(exps))
         if self.float_depth < 1:
             raise ConstructionError("schedule too steep for float tables")
-        pts = [(0.0, 0.0), (1.0, 1.0)]
-        for n in range(1, self.float_depth + 1):
-            for lo, hi, val in tree.plateaus[n]:
-                v = float(val)
-                pts.append((float(lo), v))
-                pts.append((float(hi), v))
-        pts.sort()
-        xs = np.array([q[0] for q in pts])
-        fs = np.array([q[1] for q in pts])
+        # step n puts a plateau (lo + m, lo + w - m) of value f_lo + 2^-n
+        # into each gap (lo, lo + w) of step n-1; all exact in floats
+        lo, f_lo = np.zeros(1), np.zeros(1)
+        xs, fs = [np.array([0.0, 1.0])], [np.array([0.0, 1.0])]
+        width = 1.0
+        for n, e in enumerate(exps[:self.float_depth], start=1):
+            m = math.ldexp(1.0, -e)
+            a, b = lo + m, lo + (width - m)
+            value = f_lo + math.ldexp(1.0, -n)
+            xs += [a, b]
+            fs += [value, value]
+            lo, f_lo = np.concatenate([lo, b]), np.concatenate([f_lo, value])
+            width = m
+        xs, fs = np.concatenate(xs), np.concatenate(fs)
+        order = np.argsort(xs, kind="stable")
+        xs, fs = xs[order], fs[order]
         super().__init__(xs, 0.5 * (fs + xs))
+
+    @cached_property
+    def tree(self) -> StaircaseTree:
+        """The exact tree of the schedule, built when first read."""
+        return build_tree(self.schedule)
 
     @property
     def eval_tolerance(self) -> float:
@@ -292,7 +304,7 @@ class StaircaseLift(PiecewiseLinearLift):
         same = super().__eq__(other)
         if same is not True:
             return same
-        return self.tree.schedule == other.tree.schedule
+        return self.schedule == other.schedule
 
     def fourier_coefficients_at(self, ks) -> np.ndarray:
         """int_0^1 exp(2 pi i (g(t) - k t)) dt at the integer frequencies ks,
@@ -314,7 +326,7 @@ class StaircaseLift(PiecewiseLinearLift):
         still depends on k alone.
         """
         k = np.asarray(ks, dtype=float).reshape(-1)
-        exps = self.tree.schedule.margin_exponents[:self.float_depth]
+        exps = self.schedule.margin_exponents[:self.float_depth]
         m = math.ldexp(1.0, -exps[-1])
         slope = (math.ldexp(1.0, -self.float_depth) + m) / (2 * m)
         J = _linear_piece(slope - k, m)
@@ -327,49 +339,23 @@ class StaircaseLift(PiecewiseLinearLift):
                 * _linear_piece(0.5 - k, w - 2 * m)
         return J
 
-    # structure-aware dyadic increments -------------------------------
-
-    def _split_table(self, m: int) -> np.ndarray:
-        """split[i]: first level at which gaps i, i+1 of step m part.
-
-        With A_i = lo_i 2^E (E the finest margin exponent through step m),
-        the cells of level j are A_i >> (E - j), which agree exactly while
-        the highest differing bit of A_i and A_i+1 lies below E - j.
-        """
-        table = self._split_levels.get(m)
-        if table is None:
-            E = max(self.tree.schedule.margin_exponents[:m])
-            scaled = [lo.numerator << (E - lo.denominator.bit_length() + 1)
-                      for lo, _hi, _flo in self.tree.gaps[m]]
-            table = np.array([E + 1 - (a ^ b).bit_length()
-                              for a, b in zip(scaled[:-1], scaled[1:])],
-                             dtype=np.int64)
-            self._split_levels[m] = table
-        return table
-
-    def level_increment_groups(self, j: int):
-        """Exact lift increments of the active dyadic cells at level j.
-
-        Returns (special_deltas, plateau_count).  Active cells are those
-        containing at least one gap of the first step m whose margin is
-        <= 2^-j; each contained gap raises f by exactly 2^-m.
-        """
-        sched = self.tree.schedule
+    def level_increments(self, j: int) -> LevelIncrements:
+        """Increments over the dyadic cells of level j, from the schedule:
+        (2^-m + 2^-j)/2 on 2^m cells and 2^-(j+1) on the other 2^j - 2^m,
+        m the first step with margin <= 2^-j (see the module notes)."""
+        sched = self.schedule
         m = next((n for n, e in enumerate(sched.margin_exponents, start=1)
                   if e >= j), None)
         if m is None:
             raise DepthBudgetError(
                 f"level {j} needs margins below 2^-{j}; built depth "
                 f"{sched.depth} reaches 2^-{sched.margin_exponent(sched.depth)}")
-        split = self._split_table(m)
-        # the gaps are sorted, so each active cell holds a run of them
-        cuts = np.flatnonzero(split <= j) + 1
-        counts = np.diff(cuts, prepend=0, append=split.size + 1)
-        cell_width = math.ldexp(1.0, -j)       # 0.0 below the float range
-        rise = math.ldexp(1.0, -m)
-        deltas = 0.5 * (counts * rise + cell_width)
-        plateau_count = (1 << j) - counts.size
-        return deltas, plateau_count
+        rest = (1 << j) - (1 << m)
+        pairs = 2 if rest else 1          # at j = 1 every cell is active
+        logs = log_ldexp([1.0 + math.ldexp(1.0, m - j), 1.0],
+                         [-m - 1, -j - 1])
+        return LevelIncrements(level=j, log_deltas=logs[:pairs],
+                               counts=(1 << m, rest)[:pairs])
 
 
 # ------------------------------------------------------------ public API
@@ -379,10 +365,9 @@ def make_staircase_map(kind: str, parameter: float, depth: int) -> CircleMap:
     point at angle 1/2 turn is fixed, as the step-1 plateau contains 1/2
     and has value 1/2."""
     schedule = build_schedule(kind, parameter, depth)
-    tree = build_tree(schedule)
     name = "cantor_log" if kind == "power" else "cantor_loglog"
     key = "s" if kind == "power" else "p"
-    return CircleMap(lift=StaircaseLift(tree),
+    return CircleMap(lift=StaircaseLift(schedule),
                      description=f"{name}:{key}={parameter:g},depth={depth}")
 
 

@@ -8,11 +8,12 @@ breakpoints (xs, ys) that it interpolates linearly, checked once and
 exactly where they are made.  The lift is nondecreasing, so plateau maps
 (limits of homeomorphisms, e.g. devil-staircase boundary data) are
 admissible.  The lift owns the Fourier coefficients of exp(2 pi i u)
-(``fourier_coefficients_at``): a piecewise-linear lift sums them in
-closed form over its pieces, and the staircase lift of ``cantor``, a
-subclass that also adds exact dyadic increments, by its self-similar
-recursion.  The map's coefficients (``fourier_coefficients``) are the
-lift's times e^(2 pi i rho).
+(``fourier_coefficients_at``) and its increments over the dyadic cells of
+a level (``level_increments``): a piecewise-linear lift computes both
+from its pieces, and the staircase lift of ``cantor``, a subclass, from
+its schedule (the coefficients by the self-similar recursion).  The
+map's coefficients (``fourier_coefficients``) are the lift's times
+e^(2 pi i rho).
 
 Inversion solves on a dyadic grid k 2^-n, n = ceil(-log2 tol) + 2, with
 the one tolerance tol = max(eval_tolerance 1e-2, 1e-14), so the grid is
@@ -52,34 +53,34 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, LabError
-
-# Hard cap on the number of dyadic cells enumerated explicitly at one level.
-MAX_LEVEL_CELLS = 2 ** 22
+from .errors import DomainError
 
 _SNAP_STEPS = 4               # unit steps of k before a target is bisected
 _COEFF_BLOCK = 1 << 16        # pieces x frequencies evaluated at once
+_MIN_EXP = -1021              # ldexp(m, e) is normal from here, m in [1/2, 1)
+_LN2 = math.log(2.0)
 
 
 @dataclass
 class LevelIncrements:
-    """Lift increments over the 2^level dyadic arcs of one level.
-
-    ``deltas`` holds the increments (in turns) of explicitly enumerated
-    cells.  ``plateau_count`` counts the remaining cells on which the lift
-    gains exactly the background increment ``2^-(level+1)`` (half the cell
-    width, as happens away from the active set of a staircase lift).  For
-    generic maps every cell is enumerated and ``plateau_count`` is 0.
-    ``plateau_count`` may exceed the float range, hence the plain int.
+    """Lift increments over the 2^level dyadic cells of one level:
+    ``counts[i]`` cells each gain exp(log_deltas[i]) turns; zero increments
+    are left out.  Counts are ints and increments logs, since a deep level
+    has more cells than a float holds, each gaining less than a float.
     """
 
     level: int
-    deltas: np.ndarray
-    plateau_count: int = 0
+    log_deltas: np.ndarray
+    counts: tuple
 
-    @property
-    def background_log2_delta(self) -> float:
-        return -(self.level + 1)
+
+def log_ldexp(v, e) -> np.ndarray:
+    """log(v 2^e) for positive floats v and integers e, below the float range
+    too: ``np.log`` of the float v 2^e wherever that is normal."""
+    mant, exp = np.frexp(np.asarray(v, dtype=float))
+    exp = exp + np.asarray(e, dtype=np.int64)
+    below = np.minimum(exp - _MIN_EXP, 0)
+    return np.log(np.ldexp(mant, exp - below)) + below * _LN2
 
 
 def _as_array(t):
@@ -175,6 +176,37 @@ class PiecewiseLinearLift:
                 * np.sinc(dy - k * dx)
             out[start:start + step] = terms.sum(axis=1)
         return out
+
+    def level_increments(self, j: int) -> LevelIncrements:
+        """Increments over the dyadic cells of level j >= 1, by pieces.
+
+        A cell inside one piece gains slope 2^-j, so those are counted per
+        piece; a cell with a breakpoint strictly inside is listed on its
+        own, its increment read off ``np.interp`` at its ends.  Cell indices
+        are exact ints (``float.as_integer_ratio``), so every level works.
+        """
+        xs, ys = self.xs, self.ys
+        floors, ceils, inside = [], [], set()
+        for x in xs.tolist():
+            num, den = x.as_integer_ratio()
+            k, rest = divmod(num << j, den)
+            floors.append(k)
+            ceils.append(k + (rest > 0))
+            if rest:
+                inside.add(k)
+        # piece i holds the cells ceil(x_i 2^j) .. floor(x_(i+1) 2^j) - 1
+        whole = [max(0, b - a) for a, b in zip(ceils[:-1], floors[1:])]
+        slopes = np.diff(ys) / np.diff(xs)
+        keep = [i for i, n in enumerate(whole) if n and slopes[i] > 0]
+        left = np.ldexp(np.array(sorted(inside), dtype=float), -j)
+        cut = np.interp(left + math.ldexp(1.0, -j), xs, ys) \
+            - np.interp(left, xs, ys)
+        cut = cut[cut > 0]
+        return LevelIncrements(
+            level=j,
+            log_deltas=np.concatenate([log_ldexp(slopes[keep], -j),
+                                       np.log(cut)]),
+            counts=tuple(whole[i] for i in keep) + (1,) * cut.size)
 
     def __eq__(self, other):
         """Equal lifts: one class, equal breakpoints, one eval_tolerance.
@@ -335,25 +367,10 @@ class CircleMap:
     # ------------------------------------------------------- dyadic images
 
     def level_increments(self, j: int) -> LevelIncrements:
-        """Lift increments over all dyadic arcs of level j.
-
-        Uses the exact dyadic sums of a staircase lift, otherwise
-        enumerates all 2^j cells subject to the budget.
-        """
+        """Lift increments over the dyadic cells of level j, from the lift."""
         if j < 1:
             raise DomainError(f"level must be >= 1, got {j}")
-        grouped = getattr(self.lift, "level_increment_groups", None)
-        if grouped is not None:
-            special, plateau_count = grouped(j)
-            return LevelIncrements(level=j,
-                                   deltas=np.asarray(special, dtype=float),
-                                   plateau_count=plateau_count)
-        if 2 ** j > MAX_LEVEL_CELLS:
-            raise LabError(
-                f"level {j} needs 2^{j} cells > budget {MAX_LEVEL_CELLS}")
-        grid = np.linspace(0.0, 1.0, 2 ** j + 1)
-        vals = self.lift_eval(grid)
-        return LevelIncrements(level=j, deltas=np.diff(vals), plateau_count=0)
+        return self.lift.level_increments(j)
 
 
 # ------------------------------------------------------------ constructors

@@ -216,7 +216,7 @@ def cmd_examples(args) -> int:
     # schedule blocks like 2^(n (1 - p + 1/s)).
     p, s = 1.5, 4.0 / 3.0
     m = cantor.make_staircase_map("power", s, 11)
-    sch = m.lift.tree.schedule
+    sch = m.lift.schedule
     edges = [sch.j[n - 1] for n in range(sch.n0, sch.n0 + 5)]
     B = discrete.block_sums(m, EnergyParams(p, p - 2, 0.0), edges)
     slope = float(np.polyfit(np.arange(B.size), np.log2(B), 1)[0])
@@ -234,7 +234,7 @@ def cmd_examples(args) -> int:
     # fast-growing partial sums.
     p2, s2 = 3.0, 2.0 / 3.0
     m2 = cantor.make_staircase_map("power", s2, 8)
-    sch2 = m2.lift.tree.schedule
+    sch2 = m2.lift.schedule
     edges2 = [sch2.j[n - 1] for n in range(sch2.n0, sch2.n0 + 5)]
     B2 = discrete.block_sums(m2, EnergyParams(p2, p2 - 2, 0.0), edges2)
     ratios = B2[1:] / B2[:-1]
@@ -254,7 +254,7 @@ def cmd_examples(args) -> int:
     # do not decay.
     p3 = 2.0
     m3 = cantor.make_staircase_map("double_exp", p3, 3)
-    sch3 = m3.lift.tree.schedule
+    sch3 = m3.lift.schedule
     edges3 = list(sch3.j)
     B3 = discrete.block_sums(m3, EnergyParams(p3, p3 - 2, -1.0), edges3)
     ident = from_description("identity")

@@ -13,11 +13,12 @@ The two discrete energies are
 with Phi_{p,lam}(t) = t^p log^lam(e+t).  Both are reported level by level
 with a windowed tail classification.
 
-Staircase maps expose grouped increments (an exact count of background
-cells plus a short list of active cells); for those the per-term weights
-are combined in log space so levels far beyond float range (j in the
-thousands) stay finite and accurate.  A level sum and the total over
-levels 1..J are correctly rounded (math.fsum) at every size.
+A level's increments are a few (delta, count) pairs, each term computed
+from the log of its increment, so levels far beyond float range (j in the
+thousands) stay finite and accurate.  A pair adds count * term, the
+correctly rounded sum of its equal terms, or past the float range
+exp(log count + log term).  A level sum and the total over levels 1..J
+are correctly rounded (math.fsum) at every size.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ from .report import EnergyParams, EnergyReport, finalize
 
 _LOG_2PI = math.log(2 * math.pi)
 _LN2 = math.log(2.0)
+_EXACT_COUNT = 1 << 53       # every smaller count is exact in a float
 
 
-def _fsum(values: np.ndarray) -> float:
+def _fsum(values) -> float:
     """Correctly rounded sum of nonnegative terms; inf past the float range."""
     try:
-        return math.fsum(values.tolist())
+        return math.fsum(values)
     except OverflowError:
         return math.inf
 
@@ -50,13 +52,12 @@ def _exp_safe(logv: float) -> float:
     return math.exp(logv)
 
 
-def _log_gauge_of_ratio(log_ratio: float, p: float, lam: float) -> float:
-    """log Phi(t) from log t, stable for ratios far outside float range."""
-    if log_ratio > 700.0:
-        log_e_plus = log_ratio          # log(e + t) ~ log t
-    else:
-        log_e_plus = math.log(math.e + math.exp(log_ratio))
-    return p * log_ratio + lam * math.log(log_e_plus)
+def _pair_term(count: int, log_term: float, term: float) -> float:
+    """The sum of count terms e^log_term, ``term`` its float: count * term
+    while count is exact in a float and term in range, else from logs."""
+    if count < _EXACT_COUNT and -745.0 <= log_term <= 709.0:
+        return count * term
+    return _exp_safe(math.log(count) + log_term)
 
 
 def _level_sum(inc: LevelIncrements, params: EnergyParams,
@@ -66,34 +67,20 @@ def _level_sum(inc: LevelIncrements, params: EnergyParams,
     log_arc = _LOG_2PI - j * _LN2        # log of the source arc length
 
     if functional == "length_power":
+        # ell^p * weight, ell = 2 pi * delta
         log_weight = (2 + alpha - p) * log_arc + lam * math.log(j)
+        logs = p * (inc.log_deltas + _LOG_2PI) + log_weight
     else:
         log_weight = (2 + alpha) * log_arc
-
-    total = 0.0
-    deltas = inc.deltas
-    if deltas.size:
-        pos = deltas[deltas > 0]
-        if functional == "length_power":
-            # ell^p * weight, ell = 2 pi * delta
-            logs = p * (np.log(pos) + _LOG_2PI) + log_weight
-        else:
-            log_ratios = np.log(pos) + j * _LN2    # delta / 2^-j
-            big = log_ratios > 700.0
-            log_e_plus = np.where(
-                big, log_ratios,
-                np.log(math.e + np.exp(np.minimum(log_ratios, 700.0))))
-            logs = p * log_ratios + lam * np.log(log_e_plus) + log_weight
-        total += _fsum(np.exp(np.clip(logs, -745.0, 709.0)))
-    if inc.plateau_count:
-        log_delta = inc.background_log2_delta * _LN2
-        if functional == "length_power":
-            log_term = p * (log_delta + _LOG_2PI) + log_weight
-        else:
-            log_term = _log_gauge_of_ratio(log_delta + j * _LN2, p, lam) \
-                + log_weight
-        total += _exp_safe(math.log(inc.plateau_count) + log_term)
-    return total
+        log_ratios = inc.log_deltas + j * _LN2    # delta / 2^-j
+        big = log_ratios > 700.0
+        log_e_plus = np.where(
+            big, log_ratios,
+            np.log(math.e + np.exp(np.minimum(log_ratios, 700.0))))
+        logs = p * log_ratios + lam * np.log(log_e_plus) + log_weight
+    terms = np.exp(np.clip(logs, -745.0, 709.0))
+    return _fsum([_pair_term(c, lt, t) for c, lt, t in
+                  zip(inc.counts, logs.tolist(), terms.tolist())])
 
 
 def _energy(circle_map: CircleMap, params: EnergyParams, max_level: int,

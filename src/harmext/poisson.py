@@ -75,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle_map import MAX_LEVEL_CELLS, CircleMap, log2_exact
+from .circle_map import CircleMap, log2_exact
 from .errors import DomainError, LabError, PrecisionError
 from .orlicz import OrliczSpec, phi
 from .report import EnergyParams, EnergyReport, finalize
@@ -85,6 +85,7 @@ _GAUSS4_X, _GAUSS4_W = np.polynomial.legendre.leggauss(4)
 _G4X = 0.5 * (_GAUSS4_X + 1.0)
 _G4W = 0.5 * _GAUSS4_W
 
+MAX_LEVEL_CELLS = 2 ** 22     # boundary samples in one table
 _SERIES_DECAY = 37.0          # r^n < 1e-16 once n > 37 / (1 - r)
 _MAX_SERIES_TERMS = 1 << 20   # pointwise terms, |z| <= 1 - 3.5e-5
 _MAX_COEFF_LEN = 1 << 22

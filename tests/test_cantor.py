@@ -206,9 +206,7 @@ def test_fast_level_increments_match_enumeration():
     m = cantor.make_staircase_map("power", 2.0, 10)
     for j in range(4, 11):
         inc = m.level_increments(j)
-        fast = np.sort(np.concatenate([
-            inc.deltas,
-            np.full(inc.plateau_count, 2.0 ** -(j + 1))]))
+        fast = np.sort(np.repeat(np.exp(inc.log_deltas), inc.counts))
         grid = np.linspace(0.0, 1.0, 2 ** j + 1)
         slow = np.sort(np.diff(m.lift_eval(grid)))
         np.testing.assert_allclose(fast, slow, atol=1e-12)
@@ -218,17 +216,21 @@ def test_level_increments_telescope_exactly():
     m = cantor.make_staircase_map("power", 4.0 / 3.0, 11)
     for j in (10, 40, 100, 181):
         inc = m.level_increments(j)
-        total = math.fsum(inc.deltas) + inc.plateau_count * 2.0 ** -(j + 1)
+        total = math.fsum(c * math.exp(d)
+                          for d, c in zip(inc.log_deltas.tolist(), inc.counts))
         assert total == pytest.approx(1.0, abs=1e-9)
+        assert sum(inc.counts) == 2 ** j
 
 
-def _level_increment_groups_by_dict(lift, j):
-    """The dict count over gap endpoints that the split tables replaced."""
-    sched = lift.tree.schedule
+def _level_increment_groups_by_dict(tree, j):
+    """The increments of the active cells of level j, one per cell, and the
+    number of the other cells, by counting the gaps of the first step m
+    whose margin is <= 2^-j in each cell."""
+    sched = tree.schedule
     m = next(n for n in range(1, sched.depth + 1)
              if sched.margin_exponent(n) >= j)
     counts = {}
-    for lo, _hi, _flo in lift.tree.gaps[m]:
+    for lo, _hi, _flo in tree.gaps[m]:
         k = (lo.numerator << j) // lo.denominator
         counts[k] = counts.get(k, 0) + 1
     cell_width = math.ldexp(1.0, -j)
@@ -239,8 +241,11 @@ def _level_increment_groups_by_dict(lift, j):
 
 
 # the block-sum map of the benchmark and the three maps of ``examples``
-SPLIT_TABLE_MAPS = (("power", 2.0, 14), ("power", 4.0 / 3.0, 11),
-                    ("power", 2.0 / 3.0, 8), ("double_exp", 2.0, 3))
+STAIRCASE_MAPS = (("power", 2.0, 14), ("power", 4.0 / 3.0, 11),
+                  ("power", 2.0 / 3.0, 8), ("double_exp", 2.0, 3))
+# and the fleet's map and two more power schedules
+SCHEDULES = (("power", 2.0, 10),) + STAIRCASE_MAPS \
+    + (("power", 1.0, 10), ("power", 1.5, 10))
 
 
 def _averaged_staircase(lift):
@@ -254,7 +259,7 @@ def _averaged_staircase(lift):
     return lambda t: 0.5 * (np.interp(t, xs, fs) + t)
 
 
-@pytest.mark.parametrize("spec", (("power", 2.0, 10),) + SPLIT_TABLE_MAPS)
+@pytest.mark.parametrize("spec", (("power", 2.0, 10),) + STAIRCASE_MAPS)
 def test_lift_is_the_averaged_staircase_bit_for_bit(spec):
     # the grid 2^21 holds every coarser dyadic grid
     m = cantor.make_staircase_map(*spec)
@@ -266,32 +271,30 @@ def test_lift_is_the_averaged_staircase_bit_for_bit(spec):
         assert np.array_equal(m.eval(t), g)
 
 
-def _assert_groups_match(lift, levels):
-    for j in levels:
-        deltas, plateau_count = lift.level_increment_groups(j)
-        want, want_count = _level_increment_groups_by_dict(lift, j)
-        assert deltas.dtype == np.float64
-        assert np.array_equal(deltas, want), j
-        assert type(plateau_count) is int and plateau_count == want_count
-
-
-@pytest.mark.parametrize("spec", SPLIT_TABLE_MAPS)
-def test_split_tables_match_dict_count(spec):
+@pytest.mark.parametrize("spec", SCHEDULES,
+                         ids=lambda spec: "{}-{:g}-{}".format(*spec))
+def test_level_increments_match_dict_count(spec):
+    # every active cell holds exactly one gap, so the closed form's two
+    # pairs are the dict count's cells, at the first 127 levels (or all
+    # the schedule reaches) and the top two
     lift = cantor.make_staircase_map(*spec).lift
-    sched = lift.tree.schedule
-    top = sched.margin_exponent(sched.depth)
-    _assert_groups_match(lift, list(range(1, 128)) + [top - 1, top])
+    tree = cantor.build_tree(lift.schedule)
+    top = lift.schedule.margin_exponent(lift.schedule.depth)
+    for j in sorted(set(range(1, min(top, 127) + 1)) | {top - 1, top}):
+        inc = lift.level_increments(j)
+        deltas, plateau_count = _level_increment_groups_by_dict(tree, j)
+        assert np.all(deltas == deltas[0]), j
+        want = ((deltas.size, plateau_count) if plateau_count
+                else (deltas.size,))
+        assert inc.counts == want, j
+        assert all(type(c) is int for c in inc.counts)
+        assert inc.log_deltas[0] == np.log(deltas[0]), j
+        # the other cells gain 2^-(j+1), below the float range at the top
+        background = [-(j + 1) * math.log(2.0)] * (len(want) - 1)
+        np.testing.assert_allclose(inc.log_deltas[1:], background, rtol=1e-15)
 
 
-@pytest.mark.parametrize("spec", SPLIT_TABLE_MAPS[:2])
-def test_split_tables_do_not_depend_on_level_order(spec):
-    # a fresh map asked deepest level first builds its tables in the
-    # opposite order
-    lift = cantor.make_staircase_map(*spec).lift
-    _assert_groups_match(lift, range(127, 0, -1))
-
-
-@pytest.mark.parametrize("spec", (("power", 2.0, 10),) + SPLIT_TABLE_MAPS)
+@pytest.mark.parametrize("spec", (("power", 2.0, 10),) + STAIRCASE_MAPS)
 def test_coefficient_recursion_matches_the_piece_sum(spec):
     # |k| <= 4096, plus 400 frequencies near +-1e5
     lift = cantor.make_staircase_map(*spec).lift
@@ -301,6 +304,18 @@ def test_coefficient_recursion_matches_the_piece_sum(spec):
         lift.fourier_coefficients_at(ks),
         PiecewiseLinearLift.fourier_coefficients_at(lift, ks),
         rtol=0, atol=1e-13)
+
+def test_tree_budget_refuses_a_deep_tree_before_building_it():
+    # depth 24 has j_24 = 4,095, far under the margin cap, but its tree
+    # would keep 2^25 gaps of Fractions; the map itself builds no tree
+    with pytest.raises(DepthBudgetError, match="past the budget"):
+        cantor.build_tree(cantor.build_schedule("power", 2.0, 24))
+    lift = cantor.make_staircase_map("power", 2.0, 24).lift
+    assert lift.level_increments(4095).counts == (1 << 24,
+                                                  (1 << 4095) - (1 << 24))
+    with pytest.raises(DepthBudgetError, match="past the budget"):
+        lift.tree
+
 
 def test_level_increments_beyond_schedule_raise():
     m = cantor.make_staircase_map("power", 2.0, 10)

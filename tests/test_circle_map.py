@@ -334,46 +334,80 @@ def test_lifts_are_unhashable():
 
 
 # ------------------------------------------------ dyadic arc increments
-# level_increments(j).deltas[k - 1] is the image length, in turns, of the
-# k-th dyadic arc of level j
+# level_increments(j) gives (delta, count) pairs: counts[i] of the 2^j
+# dyadic arcs each have an image of exp(log_deltas[i]) turns
+
+def _pairs(inc):
+    return sorted(zip(np.exp(inc.log_deltas).tolist(), inc.counts))
+
+
+def _expanded(inc):
+    """The increments of the cells, one per cell, in increasing order."""
+    return np.sort(np.repeat(np.exp(inc.log_deltas), inc.counts))
+
 
 def test_arc_image_length_identity():
-    deltas = circle_map.identity().level_increments(3).deltas
-    assert deltas[4] == pytest.approx(1 / 8, rel=1e-14)
+    inc = circle_map.identity().level_increments(3)
+    assert inc.counts == (8,)
+    assert math.exp(inc.log_deltas[0]) == pytest.approx(1 / 8, rel=1e-14)
 
 
 def test_arc_image_length_piecewise_linear():
-    deltas = circle_map.piecewise_linear(PL).level_increments(1).deltas
-    assert deltas[0] == pytest.approx(0.25, rel=1e-13)
+    # the arcs [0, 1/2] and [1/2, 1] have images of 1/4 and 3/4 turns
+    (low, n_low), (high, n_high) = _pairs(
+        circle_map.piecewise_linear(PL).level_increments(1))
+    assert (n_low, n_high) == (1, 1)
+    assert low == pytest.approx(0.25, rel=1e-13)
+    assert high == pytest.approx(0.75, rel=1e-13)
 
 
 def test_arc_image_lengths_telescope():
-    # a staircase counts the cells it does not enumerate, each of which
-    # gains the background increment
     stair = make_staircase_map("power", 2.0, 10)
     for m, j in ((circle_map.identity(), 4),
                  (circle_map.piecewise_linear(PL), 4), (stair, 4),
                  (stair, 30)):
         inc = m.level_increments(j)
-        total = inc.deltas.sum() \
-            + inc.plateau_count * 2.0 ** inc.background_log2_delta
+        total = sum(c * d for d, c in _pairs(inc))
         assert total == pytest.approx(1.0, rel=1e-12), (m.description, j)
+        assert sum(inc.counts) == 2 ** j
 
 
 def test_arc_image_refinement_consistency():
+    # the breakpoints of PL lie on every level's grid, so each cell of
+    # level j splits into two cells of half its increment
     m = circle_map.piecewise_linear(PL)
     for j in (2, 3, 4):
-        parent = m.level_increments(j).deltas
-        children = m.level_increments(j + 1).deltas.reshape(-1, 2).sum(axis=1)
-        np.testing.assert_allclose(parent, children, rtol=0, atol=1e-12)
+        parent = m.level_increments(j)
+        child = m.level_increments(j + 1)
+        assert child.counts == tuple(2 * c for c in parent.counts)
+        np.testing.assert_allclose(child.log_deltas,
+                                   parent.log_deltas - math.log(2.0),
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("desc", [
+    "identity", "piecewise_linear:0,0;0.5,0.25;1,1",
+    "piecewise_linear:0,0;0.25,0.5;0.75,0.6;1,1",
+    "piecewise_linear:0,0;0.3,0.5;0.31,0.5;0.71,0.6;1,1", STEEP])
+def test_level_increments_match_enumeration(desc):
+    # cells with a breakpoint inside (0.3, 0.31 and 0.71 sit on no dyadic
+    # grid, and 0.3 and 0.31 share cells up to level 6) against the
+    # differences of the lift over all 2^j + 1 cell edges; the flat piece
+    # gives zero increments, which the pairs leave out
+    m = circle_map.from_description(desc)
+    for j in range(1, 11):
+        inc = m.level_increments(j)
+        slow = np.diff(m.lift_eval(np.linspace(0.0, 1.0, 2 ** j + 1)))
+        np.testing.assert_allclose(_expanded(inc), np.sort(slow[slow > 0]),
+                                   rtol=1e-12, atol=0)
 
 
 def test_level_increments_match_arc_lengths():
     # exact oracle: PL has slope 1/2 on [0, 1/2] and 3/2 on [1/2, 1]
     inc = circle_map.piecewise_linear(PL).level_increments(5)
-    assert inc.plateau_count == 0
-    np.testing.assert_allclose(inc.deltas, np.repeat([0.5, 1.5], 16) / 32,
-                               rtol=0, atol=1e-14)
+    assert inc.counts == (16, 16)
+    np.testing.assert_allclose(np.exp(inc.log_deltas),
+                               np.array([0.5, 1.5]) / 32, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------- constructors

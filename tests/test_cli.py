@@ -53,6 +53,21 @@ def test_energy_identity_json(tmp_path):
     assert "inverse_kernel_root_over_length_power" in ratios
 
 
+@pytest.mark.parametrize("desc,levels", [
+    ("piecewise_linear:0,0;0.25,0.5;0.75,0.6;1,1", 23),
+    ("cantor_log:s=2,depth=24", 4)])
+def test_energy_levels_need_no_cell_enumeration(desc, levels, tmp_path):
+    # level 23 has 2^23 cells, and the staircase of depth 24 has a tree
+    # of 2^25 gaps; neither is built
+    out = tmp_path / "energy.json"
+    code = main(["energy", "--map", desc, "--functionals", "e1",
+                 "--levels", str(levels), "--out", str(out)])
+    assert code == 0
+    (rep,) = json.loads(out.read_text())["reports"]
+    assert rep["levels"] == list(range(1, levels + 1))
+    assert all(math.isfinite(v) and v > 0 for v in rep["per_level"])
+
+
 def test_energy_csv_format(tmp_path):
     out = tmp_path / "energy.csv"
     code = main(["energy", "--map", "piecewise_linear:0,0;0.5,0.25;1,1",

@@ -72,6 +72,30 @@ def test_cumulative_monotone_in_levels():
     assert cum[-1] == pytest.approx(rep.value, rel=1e-12)
 
 
+@pytest.mark.parametrize("breakpoints,first", [
+    (((0.0, 0.0), (0.5, 0.25), (1.0, 1.0)), 1),
+    (((0.0, 0.0), (0.25, 0.5), (0.75, 0.6), (1.0, 1.0)), 2)])
+@pytest.mark.parametrize("p,alpha,lam", [
+    (2.0, 0.0, 0.0), (1.5, -0.25, 1.0), (3.0, 0.5, -1.0)])
+def test_e1_level_sums_of_pl_maps_in_closed_form(breakpoints, first, p,
+                                                 alpha, lam):
+    # from the first level whose grid holds every breakpoint, each cell
+    # lies inside one piece of width len and slope s, so level j sums
+    # len 2^j (2 pi s 2^-j)^p (2 pi 2^-j)^(2+alpha-p) j^lam over the pieces
+    m = circle_map.piecewise_linear(breakpoints)
+    levels = range(first, 61)
+    got = discrete.level_sums_for_range(m, EnergyParams(p, alpha, lam),
+                                        levels)
+    (x0, y0), pieces = breakpoints[0], []
+    for x1, y1 in breakpoints[1:]:
+        pieces.append((x1 - x0, (y1 - y0) / (x1 - x0)))
+        x0, y0 = x1, y1
+    arc = [2 * math.pi * 2.0 ** -j for j in levels]
+    want = [math.fsum(w * 2.0 ** j * (s * a) ** p for w, s in pieces)
+            * a ** (2 + alpha - p) * j ** lam for j, a in zip(levels, arc)]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
 def test_deep_levels_via_grouped_increments():
     # staircase maps support levels far beyond any enumerable cell budget
     m = make_staircase_map("power", 4.0 / 3.0, 11)
