@@ -33,6 +33,10 @@ inverse_kernel_energy ("V"):
     A(t) = sgn(1-t) ln 2 |log_2 t|^(lam+1) / (lam+1)
            * M(lam+1, lam+2, (2+alpha-p) ln t).
 
+  M is ``scipy.special.hyp1f1``, imported inside ``kernel_antiderivative``
+  where it is called: scipy is the package's slowest import and V its only
+  user, so a process that computes no V never loads scipy.
+
   The inner integral can be negative (A changes sign at t = 1); the outer
   power uses the positive part, with the number of negative inner values
   and, when p-1 is an integer, the raw signed total reported in the notes.
@@ -52,7 +56,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hyp1f1
 
 from .circle_map import CircleMap, log2_exact
 from .errors import DomainError
@@ -77,6 +80,9 @@ def kernel_antiderivative(params: EnergyParams, t):
         out = np.where(t_arr < 1.0, math.inf,
                        np.where(t_arr > 1.0, -math.inf, 0.0))
     else:
+        # imported here: scipy is the package's slowest import, V its only user
+        from scipy.special import hyp1f1
+
         c = 2.0 + alpha - p
         at_zero = t_arr == 0.0
         ln_t = np.log(np.where(at_zero, 1.0, t_arr))

@@ -55,6 +55,7 @@ _FLOAT_MARGIN_BITS = 48   # float tables stop once margins drop below 2^-48
 # j = 7.9e13.
 MAX_MARGIN_EXPONENT = 1 << 24
 MAX_TREE_GAPS = 1 << 17   # 2^(depth+1) gaps; depth 16 takes 4 s and 43 MB
+_FREQ_BLOCK = 1 << 16     # frequencies per pass of the coefficient recursion
 
 
 def strict_floor(x: float) -> int:
@@ -322,10 +323,24 @@ class StaircaseLift(PiecewiseLinearLift):
         Y'_n = (2^-n + m_n)/2 and P_n the plateau's integral.  At the
         bottom, J_D is one linear piece of slope (2^-D + m_D)/(2 m_D), and
         c_k = J_0.  That is O(float_depth) per frequency against O(pieces)
-        for the sum over the pieces, which it matches to rounding; each c_k
-        still depends on k alone.
+        for the sum over the pieces, which it matches to rounding.  The
+        frequencies run in blocks of ``_FREQ_BLOCK``, so a long ks holds a
+        few block-sized arrays besides the output.  numpy rounds an array
+        of one element differently from a longer one, so a trailing single
+        frequency joins the block before it: then c_k depends on k alone,
+        whenever ks holds two or more frequencies.
         """
         k = np.asarray(ks, dtype=float).reshape(-1)
+        bounds = list(range(0, k.size, _FREQ_BLOCK)) + [k.size]
+        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+            del bounds[-2]
+        out = np.empty(k.size, dtype=complex)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            out[lo:hi] = self._recursion(k[lo:hi])
+        return out
+
+    def _recursion(self, k: np.ndarray) -> np.ndarray:
+        """J_0 at the float frequencies k (``fourier_coefficients_at``)."""
         exps = self.schedule.margin_exponents[:self.float_depth]
         m = math.ldexp(1.0, -exps[-1])
         slope = (math.ldexp(1.0, -self.float_depth) + m) / (2 * m)

@@ -2,7 +2,8 @@
 
 A sense-preserving circle map is stored as a lift ``u : [0,1] -> [0,1]``
 with ``u(0) = 0`` and ``u(1) = 1`` (angles measured in turns) together with a
-rotation offset ``rho``; the map itself sends ``exp(2 pi i t)`` to
+rotation offset ``rho`` (finite, reduced into [0, 1) when the map is made);
+the map itself sends ``exp(2 pi i t)`` to
 ``exp(2 pi i (u(t) + rho))``.  Every lift is a ``PiecewiseLinearLift``: the
 breakpoints (xs, ys) that it interpolates linearly, checked once and
 exactly where they are made.  The lift is nondecreasing, so plateau maps
@@ -232,6 +233,14 @@ class CircleMap:
         if not isinstance(self.lift, PiecewiseLinearLift):
             raise DomainError("lift must be a PiecewiseLinearLift, the "
                               "breakpoints (xs, ys) it interpolates linearly")
+        if not math.isfinite(self.rotation):
+            raise DomainError(
+                f"rotation must be finite, got {self.rotation!r}")
+        # rho counts only mod 1, and a rho of a turn or more would round
+        # away the low bits of u(t) + rho: reduce it once (exactly, so 0.3
+        # keeps its bits; a tiny negative rho rounds to 1.0, which is 0.0)
+        rho = float(self.rotation) % 1.0
+        self.rotation = 0.0 if rho == 1.0 else rho
         # the lift's arrays fix 0 and 1; this reads them back through the
         # evaluation path, identity shortcut included
         u = self.lift_eval(np.array([0.0, 1.0]))

@@ -428,6 +428,8 @@ def _apply_config(args):
     for attr, val in defaults.items():
         if hasattr(args, attr) and getattr(args, attr) is None:
             setattr(args, attr, val)
+    if args.levels < 1:
+        raise LabError(f"--levels must be >= 1, got {args.levels}")
     if getattr(args, "single_point", False):
         for name in ("p", "alpha", "lam"):
             if len(getattr(args, name)) != 1:

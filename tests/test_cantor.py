@@ -305,6 +305,20 @@ def test_coefficient_recursion_matches_the_piece_sum(spec):
         PiecewiseLinearLift.fourier_coefficients_at(lift, ks),
         rtol=0, atol=1e-13)
 
+
+@pytest.mark.parametrize("size", [2, 3, cantor._FREQ_BLOCK,
+                                  cantor._FREQ_BLOCK + 1,
+                                  2 * cantor._FREQ_BLOCK + 1,
+                                  2 * cantor._FREQ_BLOCK + 2])
+def test_coefficients_in_blocks_are_the_one_call_values(size):
+    # numpy rounds an array of one element differently, so a trailing
+    # single frequency must ride with the block before it
+    lift = cantor.make_staircase_map("power", 2.0, 10).lift
+    ks = np.arange(size) - size // 2
+    got = lift.fourier_coefficients_at(ks)
+    assert got.tobytes() == lift._recursion(ks.astype(float)).tobytes()
+
+
 def test_tree_budget_refuses_a_deep_tree_before_building_it():
     # depth 24 has j_24 = 4,095, far under the margin cap, but its tree
     # would keep 2^25 gaps of Fractions; the map itself builds no tree

@@ -51,6 +51,32 @@ def test_eval_wraps_mod_one():
     assert m.eval(0.5) == pytest.approx(0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("rho,want", [
+    (0.3, 0.3), (1.75, 0.75), (-0.25, 0.75), (1e300, 0.0), (-1e-20, 0.0),
+    (-0.0, 0.0), (10000000000.3, 10000000000.3 % 1.0)])
+def test_rotation_is_reduced_once_into_the_unit_interval(rho, want):
+    m = circle_map.rotation_map(rho)
+    assert _same_bits(m.rotation, want)
+    assert m.description == f"rotation:{rho}"
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+def test_non_finite_rotation_is_refused(rho):
+    with pytest.raises(DomainError, match="rotation must be finite"):
+        circle_map.CircleMap(lift=circle_map.identity().lift, rotation=rho)
+
+
+def test_a_rotation_past_a_turn_keeps_the_bits_of_its_fraction():
+    # u(t) + 1e10 + 0.3 would round away the low bits of u(t)
+    far = circle_map.rotation_map(10000000000.3)
+    near = circle_map.rotation_map(10000000000.3 % 1.0)
+    t = np.linspace(0.0, 1.0, 1001)
+    assert _same_bits(far.eval(t), near.eval(t))
+    assert _same_bits(far.invert(t), near.invert(t))
+    assert _same_bits(far.fourier_coefficients(64),
+                      near.fourier_coefficients(64))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("method", ["eval", "lift_eval", "invert"])
 def test_non_finite_points_are_refused(method, bad):

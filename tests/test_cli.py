@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -130,11 +134,27 @@ def test_inverse_kernel_diverges_for_lambda_at_most_minus_one(lam, tmp_path):
     assert rep["classification"] == "diverging"
 
 
-def test_pair_energy_rejects_zero_levels(capsys):
-    # u with no rings used to report 0.0, unlike e1 and i1
-    code = main(["energy", "--functionals", "u", "--levels", "0"])
+def test_a_rotation_by_whole_turns_reports_as_the_identity(tmp_path):
+    # 1e300 is an integer, so the map is the identity, bit for bit
+    texts = {}
+    for desc in ("identity", "rotation:1e300"):
+        out = tmp_path / "out.json"
+        code = main(["energy", "--map", desc, "--functionals",
+                     "e1,e2,i1,i2,u,v", "--levels", "6", "--out", str(out)])
+        assert code == 0
+        texts[desc] = out.read_text()
+    assert texts["rotation:1e300"].replace("rotation:1e+300", "identity") \
+        == texts["identity"]
+
+
+@pytest.mark.parametrize("functional", ["v", "e1", "u"])
+@pytest.mark.parametrize("levels", ["-1", "0"])
+def test_levels_below_one_are_refused(levels, functional, capsys):
+    # refused where the flags are resolved, whichever functional runs
+    code = main(["energy", "--map", "identity", "--functionals", functional,
+                 "--levels", levels])
     assert code == 1
-    assert "diagonal_rings must be >= 1" in capsys.readouterr().err
+    assert f"--levels must be >= 1, got {levels}" in capsys.readouterr().err
 
 
 def test_config_file_supplies_defaults(tmp_path):
@@ -320,3 +340,41 @@ def test_check_commands_refuse_non_finite_input(argv, capsys):
         code = main(argv)
     assert code == 1
     assert "finite" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------- cold start
+
+# scipy is imported only by V's kernel; this process holds it already
+# (tests/test_boundary.py imports scipy.integrate), so a fresh one runs
+# every command without v, then v
+COLD_START = """
+import sys
+from harmext.cli import main
+from harmext.circle_map import piecewise_linear
+from harmext.poisson import PoissonExtension
+
+out, light = sys.argv[1], "e1,e2,i1,i2,u"
+for argv in (["energy", "--functionals", light, "--levels", "4"],
+             ["sweep", "--functionals", light, "--levels", "4",
+              "--p", "2", "--p", "3"],
+             ["examples"], ["weights-check", "--trials", "5"],
+             ["orlicz-check"]):
+    assert main(argv + ["--out", out]) == 0, argv
+ext = PoissonExtension(piecewise_linear([(0, 0), (0.5, 0.25), (1, 1)]))
+ext.extend(0.5)
+ext.wirtinger(0.5)
+print("scipy" in sys.modules)
+assert main(["energy", "--functionals", "v", "--levels", "4",
+             "--out", out]) == 0
+print("scipy" in sys.modules)
+"""
+
+
+def test_only_v_loads_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", COLD_START,
+                           str(tmp_path / "out")], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]

@@ -1,4 +1,5 @@
-"""Memory guards for the |Dh| stage of I1/I2 and the pair stage of U.
+"""Memory guards for the |Dh| stage of I1/I2, the pair stage of U and the
+staircase Fourier coefficients.
 
 tracemalloc counts numpy's buffers as they are allocated, so the peak of
 one step is the same from run to run, unlike the resident set size.  The
@@ -9,10 +10,13 @@ grid, 2^21 complex values (32 MB) each, and peaks in the fold of level
 after the |Dh| stage, as in an ``energy`` command.  The pair geometry
 holds a count per (offset, slope) and the image chords of the straddling
 pairs only: the pairs with a breakpoint of the lift, 0 or 1 between their
-ends.
+ends.  The staircase recursion runs over blocks of frequencies, so a long
+frequency vector costs its output and one block's arrays.
 """
 
 import tracemalloc
+
+import numpy as np
 
 from harmext import boundary, circle_map
 from harmext.cantor import make_staircase_map
@@ -29,6 +33,9 @@ BUILD_PEAK_MB = 16.0
 U_PEAK_MB = 4.0
 # the staircase's 291,264 straddling pairs at 14 rings take 2.3 MB
 STAIRCASE_GEOMETRY_MB = 8.0
+# the staircase coefficients at k = -2^18..2^18: 8 MB of output, a float
+# copy of k and one block's recursion at a time; in one pass, 48 MB
+STAIRCASE_COEFFS_PEAK_MB = 24.0
 
 
 def _traced_peak_mb(fn):
@@ -75,3 +82,15 @@ def test_staircase_pair_geometry_stays_small():
                                       geom.straddle_counts)
                for a in field)
     assert held / 2 ** 20 <= STAIRCASE_GEOMETRY_MB
+
+
+def test_staircase_coefficients_run_in_blocks():
+    lift = make_staircase_map("power", 2.0, 10).lift
+    ks = np.arange(-(1 << 18), (1 << 18) + 1)
+    tracemalloc.start()
+    try:
+        _, coeffs_mb = _traced_peak_mb(
+            lambda: lift.fourier_coefficients_at(ks))
+    finally:
+        tracemalloc.stop()
+    assert coeffs_mb <= STAIRCASE_COEFFS_PEAK_MB
