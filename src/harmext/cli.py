@@ -8,6 +8,18 @@ Subcommands:
     weights-check estimate an A_p constant and verify the factorization
     orlicz-check  resolve gauge breakpoints and verify gauge properties
 
+Flags each subcommand reads (``cli.COMMANDS``; any other flag is a usage
+error):
+
+    energy, sweep  --map --p --alpha --lambda --levels --functionals
+                   --out --seed --format --config
+    examples       --out --seed --format --config
+    weights-check  --p --alpha --lambda --trials
+                   --out --seed --format --config
+    orlicz-check   --p --lambda --out --seed --format --config
+
+Only ``sweep`` takes several values of --p/--alpha/--lambda.
+
 Exit codes: 0 success, 1 bad configuration / usage, 2 an ``examples``
 signature check failed (observed behaviour contradicts the expected one).
 
@@ -118,6 +130,11 @@ def _wanted_functionals(args) -> list:
     if bad:
         raise LabError(f"unknown functionals {bad}; choose from "
                        f"{sorted(FUNCTIONALS)}")
+    if not wanted:
+        raise LabError("--functionals names no functional")
+    twice = sorted({f for f in wanted if wanted.count(f) > 1})
+    if twice:
+        raise LabError(f"--functionals names {twice} more than once")
     return wanted
 
 
@@ -333,120 +350,124 @@ def cmd_orlicz_check(args) -> int:
     return 0
 
 
+# Flag -> (argparse keywords, fallback).  Every flag parses to None, so a
+# config file can fill what the command line left out; the fallback
+# fills what neither gave.
+FLAGS = {
+    "map": ({"help": "map description (see module docstring)"}, "identity"),
+    "p": ({"type": float, "action": "append"}, (2.0,)),
+    "alpha": ({"type": float, "action": "append"}, (0.0,)),
+    "lambda": ({"dest": "lam", "type": float, "action": "append"}, (0.0,)),
+    "levels": ({"type": int}, 12),
+    "functionals": ({}, "e1,e2"),
+    "trials": ({"type": int}, 100),
+    "out": ({}, None),
+    "seed": ({"type": int}, 0),
+    "format": ({"choices": ("json", "csv")}, "json"),
+    "config": ({"help": "JSON file supplying defaults for the flags"}, None),
+}
+
+_OUTPUT = ("out", "seed", "format", "config")
+_ENERGY = ("map", "p", "alpha", "lambda", "levels", "functionals") + _OUTPUT
+
+# Subcommand -> (run(args), help, the flags it reads).  ``run`` looks its
+# handler up when called, as STAGES and FUNCTIONALS look up theirs.
+COMMANDS = {
+    "energy": (lambda args: cmd_energy(args),
+               "evaluate functionals at one point", _ENERGY),
+    "sweep": (lambda args: cmd_sweep(args),
+              "evaluate over a parameter grid", _ENERGY),
+    "examples": (lambda args: cmd_examples(args),
+                 "run the counterexample studies", _OUTPUT),
+    "weights-check": (lambda args: cmd_weights_check(args),
+                      "A_p estimate + factorization",
+                      ("p", "alpha", "lambda", "trials") + _OUTPUT),
+    "orlicz-check": (lambda args: cmd_orlicz_check(args),
+                     "gauge breakpoints + properties",
+                     ("p", "lambda") + _OUTPUT),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a LabError, so that it exits 1."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise LabError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="harmext-lab",
         description="numerical laboratory for circle-map energy functionals")
+    # subparsers are made by the parser's own class
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # flag defaults stay None so that a config file can fill any flag the
-    # command line left out; the fallbacks are applied in _apply_config
-    def common(sp, with_map=True):
-        if with_map:
-            sp.add_argument("--map", default=None,
-                            help="map description (see module docstring)")
-        sp.add_argument("--p", type=float, action="append", default=None)
-        sp.add_argument("--alpha", type=float, action="append", default=None)
-        sp.add_argument("--lambda", dest="lam", type=float, action="append",
-                        default=None)
-        sp.add_argument("--levels", type=int, default=None)
-        sp.add_argument("--functionals", default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default=None)
-        sp.add_argument("--config", default=None,
-                        help="JSON file supplying defaults for the flags")
-        # _apply_config converts config values with this parser's flags
-        sp.set_defaults(subparser=sp)
-
-    sp = sub.add_parser("energy", help="evaluate functionals at one point")
-    common(sp)
-    sp.set_defaults(func=cmd_energy, single_point=True)
-
-    sp = sub.add_parser("sweep", help="evaluate over a parameter grid")
-    common(sp)
-    sp.set_defaults(func=cmd_sweep, single_point=False)
-
-    sp = sub.add_parser("examples", help="run the counterexample studies")
-    common(sp, with_map=False)
-    sp.set_defaults(func=cmd_examples, single_point=False)
-
-    sp = sub.add_parser("weights-check", help="A_p estimate + factorization")
-    common(sp, with_map=False)
-    sp.add_argument("--trials", type=int, default=100)
-    sp.set_defaults(func=cmd_weights_check, single_point=True)
-
-    sp = sub.add_parser("orlicz-check", help="gauge breakpoints + properties")
-    common(sp, with_map=False)
-    sp.set_defaults(func=cmd_orlicz_check, single_point=True)
+    for name, (_, help_text, flags) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            sp.add_argument(f"--{flag}", default=None, **FLAGS[flag][0])
     return parser
 
 
-def _config_value(action, key: str, val):
+def _config_value(flag: str, val):
     """A config value converted as its text would be on the command line:
     by the flag's own ``type``, then checked against its ``choices``."""
     if isinstance(val, bool) or not isinstance(val, (str, int, float)):
-        raise LabError(f"config key {key!r} needs a string or a number, "
+        raise LabError(f"config key {flag!r} needs a string or a number, "
                        f"got {json.dumps(val)}")
-    text = str(val)
+    kwargs, text = FLAGS[flag][0], str(val)
+    kind, choices = kwargs.get("type", str), kwargs.get("choices")
     try:
-        out = action.type(text) if action.type else text
-    except (TypeError, ValueError):
-        raise LabError(f"config key {key!r}: invalid "
-                       f"{action.type.__name__} value: {text!r}") from None
-    if action.choices is not None and out not in action.choices:
-        raise LabError(f"config key {key!r}: invalid choice: {out!r} "
-                       f"(choose from {', '.join(map(repr, action.choices))})")
+        out = kind(text)
+    except ValueError:
+        raise LabError(f"config key {flag!r}: invalid "
+                       f"{kind.__name__} value: {text!r}") from None
+    if choices is not None and out not in choices:
+        raise LabError(f"config key {flag!r}: invalid choice: {out!r} "
+                       f"(choose from {', '.join(map(repr, choices))})")
     return out
 
 
-def _apply_config(args):
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
+def _apply_config(args, flags):
+    """Fill each flag the command line left out: from the config file if
+    it names the flag, else with the fallback; then check the values."""
+    cfg = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise LabError("config file must contain a JSON object")
+    for key in cfg:
         # a config file names no further config file
-        flags = {a.dest: a for a in args.subparser._actions
-                 if hasattr(args, a.dest) and a.dest != "config"}
-        for key, val in cfg.items():
-            action = flags.get("lam" if key == "lambda" else key)
-            if action is None:
-                raise LabError(f"unknown config key {key!r}")
-            if getattr(args, action.dest) is not None:
-                continue
-            if action.dest in ("p", "alpha", "lam"):
-                val = [_config_value(action, key, v)
-                       for v in (val if isinstance(val, list) else [val])]
-            else:
-                val = _config_value(action, key, val)
-            setattr(args, action.dest, val)
-    # fallbacks for everything still unset
-    defaults = {"map": "identity", "p": [2.0], "alpha": [0.0], "lam": [0.0],
-                "levels": 12, "functionals": "e1,e2", "seed": 0,
-                "format": "json"}
-    for attr, val in defaults.items():
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, val)
-    if args.levels < 1:
+        if key not in flags or key == "config":
+            raise LabError(f"unknown config key {key!r}")
+    for flag in flags:
+        kwargs, val = FLAGS[flag]
+        dest = kwargs.get("dest", flag)
+        repeatable = kwargs.get("action") == "append"
+        if getattr(args, dest) is not None:
+            val = getattr(args, dest)
+        elif flag in cfg and repeatable:
+            val = [_config_value(flag, v) for v in (
+                cfg[flag] if isinstance(cfg[flag], list) else [cfg[flag]])]
+        elif flag in cfg:
+            val = _config_value(flag, cfg[flag])
+        # only a sweep takes several values of a parameter
+        if repeatable and args.command != "sweep" and len(val) != 1:
+            raise LabError(f"this command takes exactly one --{flag} value")
+        setattr(args, dest, val)
+    if "levels" in flags and args.levels < 1:
         raise LabError(f"--levels must be >= 1, got {args.levels}")
-    if getattr(args, "single_point", False):
-        for name in ("p", "alpha", "lam"):
-            if len(getattr(args, name)) != 1:
-                raise LabError(
-                    f"this command takes exactly one --{name} value")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config(args)
-        return args.func(args)
-    except LabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        args = build_parser().parse_args(argv)
+        run, _, flags = COMMANDS[args.command]
+        _apply_config(args, flags)
+        return run(args)
+    except (LabError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from harmext import boundary
-from harmext.cli import main, region_label
+from harmext.cli import COMMANDS, FLAGS, build_parser, main, region_label
 from harmext.poisson import PoissonExtension
 
 
@@ -207,6 +207,104 @@ def test_config_values_the_flags_refuse(tmp_path, capsys, cfg, message):
     assert main(["energy", "--config", str(path),
                  "--out", str(tmp_path / "out.json")]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"{levels: 3}", "Expecting property name"),
+    (b"\xff\xfe{", "'utf-8' codec can't decode byte 0xff"),
+])
+def test_config_file_that_is_not_json_is_refused(tmp_path, capsys, content,
+                                                 message):
+    path = tmp_path / "run.json"
+    path.write_bytes(content)
+    assert main(["energy", "--config", str(path)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_config_file_sets_trials(tmp_path):
+    # --trials used to parse to 100, so a config value never reached it
+    path, out = tmp_path / "run.json", tmp_path / "out.json"
+    path.write_text(json.dumps({"trials": 3}))
+    assert main(["weights-check", "--config", str(path),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["trials"] == 3
+
+
+@pytest.mark.parametrize("functionals,message", [
+    (",", "--functionals names no functional"),
+    ("", "--functionals names no functional"),
+    ("e1,e1", "--functionals names ['e1'] more than once"),
+    ("e1,e9", "unknown functionals ['e9']"),
+])
+def test_functionals_must_name_each_functional_once(functionals, message,
+                                                    capsys):
+    assert main(["energy", "--functionals", functionals]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ the parser
+
+# a value that each flag's type and choices accept
+FLAG_TEXT = {"map": "identity", "p": "2", "alpha": "0", "lambda": "0",
+             "levels": "3", "functionals": "e1", "trials": "5",
+             "out": "out.json", "seed": "1", "format": "csv",
+             "config": "run.json"}
+NOT_READ = [(command, flag) for command in sorted(COMMANDS)
+            for flag in FLAGS if flag not in COMMANDS[command][2]]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_takes_exactly_the_flags_it_reads(command):
+    flags = COMMANDS[command][2]
+    parser = build_parser()
+    for flag in flags:
+        parser.parse_args([command, f"--{flag}", FLAG_TEXT[flag]])
+    dests = {FLAGS[flag][0].get("dest", flag) for flag in flags}
+    assert set(vars(parser.parse_args([command]))) == {"command"} | dests
+
+
+def test_settable_values_per_command():
+    parser = build_parser()
+    assert {c: len(vars(parser.parse_args([c]))) - 1 for c in COMMANDS} == {
+        "energy": 10, "sweep": 10, "examples": 4, "weights-check": 8,
+        "orlicz-check": 6}
+
+
+@pytest.mark.parametrize("command,flag", NOT_READ)
+def test_a_flag_the_command_does_not_read_is_refused(command, flag, capsys):
+    assert main([command, f"--{flag}", FLAG_TEXT[flag]]) == 1
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", NOT_READ)
+def test_a_config_key_the_command_does_not_read_is_refused(
+        command, flag, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({flag: FLAG_TEXT[flag]}))
+    assert main([command, "--config", str(path)]) == 1
+    assert f"error: unknown config key {flag!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["energy", "--levels", "x"],
+     "argument --levels: invalid int value: 'x'"),
+    (["energy", "--format", "xml"],
+     "argument --format: invalid choice: 'xml'"),
+    (["energy", "--p"], "argument --p: expected one argument"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_exit_1(argv, message, capsys):
+    # returned, not raised, so an in-process caller gets the code
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "usage: harmext-lab" in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["energy", "--help"])
+    assert exc.value.code == 0
+    assert "--functionals" in capsys.readouterr().out
 
 
 def test_energy_v_of_a_map_with_a_steep_piece(tmp_path):
