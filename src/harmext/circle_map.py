@@ -30,9 +30,10 @@ to 1, so every finite target has a preimage and none is refused; on a
 piece steeper than the grid resolves, the result lies within one grid
 step of the preimage.
 
-The map keeps no table of its values: the |Dh| stage reads it at the
-dyadic points k 2^-e through a table of exponentiated boundary samples
-that the ``PoissonExtension`` owns (``boundary_values``).  Arguments are
+The map keeps no table of its values: the |Dh| stage reads it once per
+build, at the dyadic points k 2^-e of its largest grid, through
+``PoissonExtension.boundary_values``, which returns a fresh array of
+exponentiated boundary samples.  Arguments are
 checked once, at the public entry points (``lift_eval``, ``eval``,
 ``invert``), which refuse non-finite points; ``_lift``, the interpolation
 itself, is what they and the inverse's grid search share.

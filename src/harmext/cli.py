@@ -452,9 +452,16 @@ def _apply_config(args, flags):
                 cfg[flag] if isinstance(cfg[flag], list) else [cfg[flag]])]
         elif flag in cfg:
             val = _config_value(flag, cfg[flag])
-        # only a sweep takes several values of a parameter
-        if repeatable and args.command != "sweep" and len(val) != 1:
-            raise LabError(f"this command takes exactly one --{flag} value")
+        if repeatable:
+            # only a sweep takes several values of a parameter, each once
+            if args.command != "sweep" and len(val) != 1:
+                raise LabError(
+                    f"this command takes exactly one --{flag} value")
+            if not val:
+                raise LabError(f"--{flag} names no value")
+            twice = sorted({v for v in val if val.count(v) > 1})
+            if twice:
+                raise LabError(f"--{flag} names {twice} more than once")
         setattr(args, dest, val)
     if "levels" in flags and args.levels < 1:
         raise LabError(f"--levels must be >= 1, got {args.levels}")

@@ -54,18 +54,24 @@ over the stack of four; the column phases of the offsets are computed
 once per level and shared by its four radii.  A radius is cut at 2^21
 series terms, and a level whose first dropped power r^n exceeds 1e-14
 (every level past 16) raises PrecisionError before any grid is built.
-|Dh| samples are cached per level and reused across parameter points: a
-``PoissonExtension`` is the map-only stage of I1 and I2 (its table of
-boundary samples and the FFT coefficients, 32 MB each at level 14, and
-the per-level samples), and the ``energy`` and ``sweep`` commands build
-one per command (``cli.STAGES``) and evaluate every parameter point
-against it.  The boundary samples e^{2 pi i eval(k/2^e)} are one table
-(``boundary_values``): grown one level at a time, evaluating and
-exponentiating only the new odd k, and read at a coarser n as a strided
-view, so the coefficient grids 2^14 to 2^21 of successive levels
-evaluate and exponentiate each point of the map once.  Since k 2^-e is
-exact in floating point and ``eval`` and ``exp`` are elementwise, an
-entry is bit for bit what the whole grid evaluated afresh would give.
+The samples of levels 1..J are one build (``level_samples(J)``), cached
+per J and reused across parameter points: a ``PoissonExtension`` is the
+map-only stage of I1 and I2, and the ``energy`` and ``sweep`` commands
+build one per command (``cli.STAGES``) and evaluate every parameter point
+against it.  A build runs one FFT of size 2^14 or more.  Radius r folds the
+coefficients of m(r) boundary samples e^{2 pi i eval(k/m)}, m(r) the power
+of two past twice its series length (2^21 for level 14's outermost
+radius).  The build walks the radii from the outside in, levels J..1 and
+each level's radii outermost first, so m(r) never grows: it fills the
+largest grid (``boundary_values``, a fresh array), transforms it in place,
+and before each radius that needs fewer samples halves it in place by
+the trapezoid aliasing identity c^(m/2)_k = c^(m)_k + c^(m)_(k+m/2)
+(``_alias_half``; Trefethen & Weideman, SIAM Rev. 56, 2014).  Up to
+J = 7 every radius uses 2^14, so those samples are bit for bit those of a
+fresh FFT per radius; a halved grid differs from the FFT of its own
+samples by rounding only.  The samples depend on (map, J), not on the
+order of calls, and afterwards the extension holds them alone (4 MB at
+J = 14), no grid.
 """
 
 from __future__ import annotations
@@ -85,11 +91,10 @@ _GAUSS4_X, _GAUSS4_W = np.polynomial.legendre.leggauss(4)
 _G4X = 0.5 * (_GAUSS4_X + 1.0)
 _G4W = 0.5 * _GAUSS4_W
 
-MAX_LEVEL_CELLS = 2 ** 22     # boundary samples in one table
+MAX_LEVEL_CELLS = 2 ** 22     # boundary samples in one grid
 _SERIES_DECAY = 37.0          # r^n < 1e-16 once n > 37 / (1 - r)
 _MAX_SERIES_TERMS = 1 << 20   # pointwise terms, |z| <= 1 - 3.5e-5
-_MAX_COEFF_LEN = 1 << 22
-_MAX_SLICE_TERMS = _MAX_COEFF_LEN // 2   # damped series terms per radius
+_MAX_SLICE_TERMS = MAX_LEVEL_CELLS // 2   # damped series terms per radius
 _SLICE_CUT = 1e-14            # largest first dropped power r^n allowed
 
 
@@ -113,6 +118,75 @@ def _check_level_terms(j: int):
             f"level {j} needs {need} series terms at r = {r!r}, over the "
             f"cap of {_MAX_SLICE_TERMS} (r^{_MAX_SLICE_TERMS} = "
             f"{r ** _MAX_SLICE_TERMS:.1e} > {_SLICE_CUT:g})")
+
+
+def _grid_size(r: float) -> int:
+    """Size m(r) of the coefficient grid for radius r: the power of two
+    that holds both halves of r's series, 2^14 <= m <= 2^22."""
+    need = int(_SERIES_DECAY / max(1.0 - r, 1e-12)) + 1
+    return max(1 << 14, 1 << (2 * min(need, _MAX_SLICE_TERMS) - 1)
+               .bit_length())
+
+
+def _alias_half(grid: np.ndarray) -> np.ndarray:
+    """The coefficients of every other sample, from those of all of them.
+
+    c^(m/2)_k = c^(m)_k + c^(m)_(k+m/2) for forward-scaled FFT
+    coefficients; computed in place, into the first half of ``grid``.
+    """
+    half = grid.size // 2
+    grid[:half] += grid[half:]
+    return grid[:half]
+
+
+def _slice_derivatives(coeffs: np.ndarray, r: float, j: int, offsets,
+                       col_phases):
+    """h_z and h_zbar at r * exp(2 pi i (l + g)/2^j), l = 0..2^j-1.
+
+    ``coeffs`` is a forward-scaled FFT grid of the boundary samples.  One
+    row per angular offset g in ``offsets``: each returned array has shape
+    (len(offsets), 2^j).  ``col_phases[sign]`` holds
+    e^(sign 2 pi i g l / 2^j) per offset, shared by the radii of the
+    level.  Folds the damped coefficient series into 2^j residue classes
+    once per radius; the result is the trapezoid kernel quadrature with
+    the full coefficient grid, evaluated exactly on the slices.
+    """
+    C = 1 << j
+    M = coeffs.size
+    need = int(_SERIES_DECAY / max(1.0 - r, 1e-12)) + 1
+    n_terms = max(min(need, M // 2), 1)
+    # k r^(k-1), k = 1..n_terms, in one buffer (r > 0: a Gauss radius)
+    damp = np.arange(n_terms) * math.log(r)
+    np.exp(damp, out=damp)
+    damp *= np.arange(1, n_terms + 1)
+    # the series vec[m], m = k-1 = 0..n_terms-1, zero-padded to whole
+    # rows of C: h_z takes coeffs[k], h_zbar coeffs[M - k], k = 1..n_terms,
+    # as slices (n_terms <= M/2, so neither wraps)
+    rows = np.zeros((-(-n_terms // C), C), dtype=complex)
+    series = rows.reshape(-1)[:n_terms]
+    row_index = np.arange(rows.shape[0])
+    term = np.empty((len(offsets), C), dtype=complex)
+
+    def fold(sign):
+        # value_l = sum_m vec[m] * e^(sign * 2 pi i m (l+g)/C); the rows
+        # are added one at a time, in the order .sum(axis=0) adds them
+        # (a matrix product over the rows would round differently)
+        row_phase = np.stack([np.exp(sign * 2j * np.pi * g * row_index)
+                              for g in offsets])
+        folded = np.multiply(rows[0], row_phase[:, :1])
+        for q in range(1, rows.shape[0]):
+            np.multiply(rows[q], row_phase[:, q:q + 1], out=term)
+            folded += term
+        folded *= col_phases[sign]
+        # C is a power of two, so skipping ifft's 1/C is exact
+        if sign > 0:
+            return np.fft.ifft(folded, axis=1, norm="forward")
+        return np.fft.fft(folded, axis=1)
+
+    np.multiply(coeffs[1:n_terms + 1], damp, out=series)
+    hz = fold(+1)
+    np.multiply(coeffs[M - n_terms:][::-1], damp, out=series)
+    return hz, fold(-1)
 
 
 def _exp_turns(turns: np.ndarray) -> np.ndarray:
@@ -169,44 +243,25 @@ def _tail_estimate(a_J: float, J: int, alpha: float, mu: float) -> float:
 class PoissonExtension:
     boundary: CircleMap
     # caches of the map-only stage: not arguments, and not part of ==
-    _coeffs: np.ndarray | None = field(default=None, init=False,
-                                       compare=False, repr=False)
     _point_coeffs: np.ndarray | None = field(default=None, init=False,
                                              compare=False, repr=False)
+    # level_samples(J) by J
     _samples: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
-    # boundary_values(size), size a power of two; grown by boundary_values
-    _boundary_table: np.ndarray | None = field(default=None, init=False,
-                                               compare=False, repr=False)
 
     # ----------------------------------------------------------- boundary
 
     def boundary_values(self, n: int) -> np.ndarray:
         """phi(exp(2 pi i k/n)), k = 0..n-1, n a positive power of two.
 
-        Read from the extension's table, which grows one level at a time,
-        evaluating and exponentiating only the new odd k; a smaller n is a
-        strided view of it.  The result is read-only and equals
-        ``np.exp(2j * np.pi * boundary.eval(np.arange(n) / n))`` bit for
-        bit.
+        A fresh array, ``np.exp(2j * np.pi * boundary.eval(np.arange(n) /
+        n))`` bit for bit; at most 2^22 values.
         """
         e = log2_exact(n, "n")
         if n > MAX_LEVEL_CELLS:
             raise LabError(f"2^{e} boundary samples > budget "
                            f"{MAX_LEVEL_CELLS}")
-        table = self._boundary_table
-        if table is None:
-            table = _exp_turns(self.boundary.eval(np.zeros(1)))
-        while table.size < n:
-            size = table.size
-            grown = np.empty(2 * size, dtype=complex)
-            grown[0::2] = table
-            grown[1::2] = _exp_turns(
-                self.boundary.eval(np.arange(1, 2 * size, 2) / (2 * size)))
-            table = grown
-        table.flags.writeable = False
-        self._boundary_table = table
-        return table[::table.size // n]
+        return _exp_turns(self.boundary.eval(np.arange(n) / n))
 
     # ---------------------------------------------------------- pointwise
 
@@ -274,111 +329,59 @@ class PoissonExtension:
 
     # ----------------------------------------------------- bulk sampling
 
-    def _fourier_coeffs(self, length: int) -> np.ndarray:
-        # exactly the grid the radius asks for, never a larger one kept from
-        # a deeper level: the samples must not depend on the call order
-        m = min(max(1 << 14, 1 << (max(length, 1) - 1).bit_length()),
-                _MAX_COEFF_LEN)
-        if self._coeffs is None or self._coeffs.size != m:
-            self._coeffs = None     # free the old grid first
-            # m is a power of two, so the 1/m scaling is exact
-            self._coeffs = np.fft.fft(self.boundary_values(m),
-                                      norm="forward")
-        return self._coeffs
+    def level_samples(self, max_level: int):
+        """|Dh|, radii and weights on the 4x4 Gauss grids of levels 1..J.
 
-    def _slice_derivatives(self, r: float, j: int, offsets, col_phases):
-        """h_z and h_zbar at r * exp(2 pi i (l + g)/2^j), l = 0..2^j-1.
+        Returns a tuple whose entry j - 1 is (dh, r_nodes, radial_weights,
+        angular_weight) for level j, where dh has shape (4, 4, 2^j): radial
+        node x angular offset x cell.  Cached per J.  Raises
+        PrecisionError, before any grid is built, for a J the series cap
+        would cut (every J past 16).
 
-        One row per angular offset g in ``offsets``: each returned array
-        has shape (len(offsets), 2^j).  ``col_phases[sign]`` holds
-        e^(sign 2 pi i g l / 2^j) per offset, shared by the radii of the
-        level.  Folds the damped coefficient series into 2^j residue
-        classes once per radius; the result is the trapezoid kernel
-        quadrature with the full coefficient grid, evaluated exactly on the
-        slices.
+        One FFT serves every radius: the radii are walked from the outside
+        in, so the grid size m(r) never grows, and each smaller grid is the
+        larger one aliased in place (``_alias_half``).
         """
-        C = 1 << j
-        need = int(_SERIES_DECAY / max(1.0 - r, 1e-12)) + 1
-        coeffs = self._fourier_coeffs(2 * min(need, _MAX_SLICE_TERMS))
-        M = coeffs.size
-        n_terms = min(need, M // 2)
-        n_terms = max(n_terms, 1)
-        # k r^(k-1), k = 1..n_terms, in one buffer (r > 0: a Gauss radius)
-        damp = np.arange(n_terms) * math.log(r)
-        np.exp(damp, out=damp)
-        damp *= np.arange(1, n_terms + 1)
-        # the series vec[m], m = k-1 = 0..n_terms-1, zero-padded to whole
-        # rows of C: h_z takes coeffs[k], h_zbar coeffs[M - k], k = 1..n_terms,
-        # as slices (n_terms <= M/2, so neither wraps)
-        rows = np.zeros((-(-n_terms // C), C), dtype=complex)
-        series = rows.reshape(-1)[:n_terms]
-        row_index = np.arange(rows.shape[0])
-        term = np.empty((len(offsets), C), dtype=complex)
-
-        def fold(sign):
-            # value_l = sum_m vec[m] * e^(sign * 2 pi i m (l+g)/C); the rows
-            # are added one at a time, in the order .sum(axis=0) adds them
-            # (a matrix product over the rows would round differently)
-            row_phase = np.stack([np.exp(sign * 2j * np.pi * g * row_index)
-                                  for g in offsets])
-            folded = np.multiply(rows[0], row_phase[:, :1])
-            for q in range(1, rows.shape[0]):
-                np.multiply(rows[q], row_phase[:, q:q + 1], out=term)
-                folded += term
-            folded *= col_phases[sign]
-            # C is a power of two, so skipping ifft's 1/C is exact
-            if sign > 0:
-                return np.fft.ifft(folded, axis=1, norm="forward")
-            return np.fft.fft(folded, axis=1)
-
-        np.multiply(coeffs[1:n_terms + 1], damp, out=series)
-        hz = fold(+1)
-        np.multiply(coeffs[M - n_terms:][::-1], damp, out=series)
-        return hz, fold(-1)
-
-    def level_samples(self, j: int):
-        """|Dh|, radii and weights on the 4x4 Gauss grid of level j's cells.
-
-        Returns (dh, r_nodes, radial_weights, angular_weight) where dh has
-        shape (4, 4, 2^j): radial node x angular offset x cell.  Raises
-        PrecisionError, before any grid is built, for a level the series
-        cap would cut (every level past 16).
-        """
-        if j < 1:
-            raise DomainError(f"level must be >= 1, got {j}")
-        if j in self._samples:
-            return self._samples[j]
-        _check_level_terms(j)
-        r_nodes, wr = _level_nodes(j)
-        ang_w = _G4W * (2 * math.pi * 2.0 ** -j)
-        n_cells = 1 << j
+        if max_level < 1:
+            raise DomainError(f"level must be >= 1, got {max_level}")
+        if max_level in self._samples:
+            return self._samples[max_level]
+        _check_level_terms(max_level)
+        nodes = [_level_nodes(j) for j in range(1, max_level + 1)]
+        grid = self.boundary_values(_grid_size(float(nodes[-1][0][-1])))
+        # m is a power of two, so the 1/m scaling is exact
+        np.fft.fft(grid, norm="forward", out=grid)
         offsets = [float(g) for g in _G4X]
-        col_index = np.arange(n_cells)
-        col_phases = {sign: np.stack([
-            np.exp(sign * 2j * np.pi * g * col_index / n_cells)
-            for g in offsets]) for sign in (+1, -1)}
-        dh = np.empty((4, 4, n_cells))
-        for ri, r in enumerate(r_nodes):
-            hz, hzb = self._slice_derivatives(float(r), j, offsets,
-                                              col_phases)
-            dh[ri] = np.abs(hz) + np.abs(hzb)
-        self._samples[j] = (dh, r_nodes, wr, ang_w)
-        return self._samples[j]
+        samples = []
+        for j in range(max_level, 0, -1):
+            r_nodes, wr = nodes[j - 1]
+            n_cells = 1 << j
+            col_index = np.arange(n_cells)
+            col_phases = {sign: np.stack([
+                np.exp(sign * 2j * np.pi * g * col_index / n_cells)
+                for g in offsets]) for sign in (+1, -1)}
+            dh = np.empty((4, 4, n_cells))
+            for ri in range(3, -1, -1):
+                r = float(r_nodes[ri])
+                while grid.size > _grid_size(r):
+                    grid = _alias_half(grid)
+                hz, hzb = _slice_derivatives(grid, r, j, offsets, col_phases)
+                dh[ri] = np.abs(hz) + np.abs(hzb)
+            samples.append((dh, r_nodes, wr,
+                            _G4W * (2 * math.pi * 2.0 ** -j)))
+        self._samples[max_level] = tuple(samples[::-1])
+        return self._samples[max_level]
 
     # ------------------------------------------------------ the integrals
 
     def _integral(self, params: EnergyParams, max_level: int,
                   functional: str) -> EnergyReport:
-        if max_level < 1:
-            raise DomainError("max_level must be >= 1")
-        # the deepest level is the one the cap would cut first
-        _check_level_terms(max_level)
+        samples = self.level_samples(max_level)
         p, alpha, lam = params.p, params.alpha, params.lam
         spec = OrliczSpec(p=p, lam=lam) if functional == "kernel_gauge" \
             else None
         per_level = []
-        for j in range(1, max_level + 1):
-            dh, r_nodes, wr, ang_w = self.level_samples(j)
+        for dh, r_nodes, wr, ang_w in samples:
             delta = 1.0 - r_nodes
             if functional == "kernel_weight":
                 radial_factor = delta ** alpha * \

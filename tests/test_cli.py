@@ -242,6 +242,22 @@ def test_functionals_must_name_each_functional_once(functionals, message,
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_a_sweep_axis_from_a_config_file_is_not_empty(tmp_path, capsys):
+    # the command line cannot give an empty axis, but a config list can
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"p": [], "functionals": "e1", "levels": 3}))
+    assert main(["sweep", "--config", str(path),
+                 "--out", str(tmp_path / "out.json")]) == 1
+    assert "error: --p names no value" in capsys.readouterr().err
+
+
+def test_a_sweep_axis_names_each_value_once(tmp_path, capsys):
+    # 2 and 2.0 are one point of the grid
+    assert main(["sweep", "--p", "2", "--p", "2.0", "--functionals", "e1",
+                 "--levels", "3", "--out", str(tmp_path / "out.json")]) == 1
+    assert "error: --p names [2.0] more than once" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ the parser
 
 # a value that each flag's type and choices accept
@@ -365,10 +381,10 @@ def test_sweep_builds_each_stage_once(monkeypatch, tmp_path):
     count(boundary.InverseGeometry, "build", "inverse")
     level_samples = PoissonExtension.level_samples
 
-    def counting_level_samples(self, j):
-        if j not in self._samples:
-            built[("level", j)] += 1
-        return level_samples(self, j)
+    def counting_level_samples(self, max_level):
+        if max_level not in self._samples:
+            built[("dh", max_level)] += 1
+        return level_samples(self, max_level)
 
     monkeypatch.setattr(PoissonExtension, "level_samples",
                         counting_level_samples)
@@ -379,8 +395,7 @@ def test_sweep_builds_each_stage_once(monkeypatch, tmp_path):
                  "--functionals", "e1,e2,i1,i2,u,v", "--out", str(out)])
     assert code == 0
     assert len(json.loads(out.read_text())["grid"]) == 3
-    assert built == Counter({"pair": 1, "inverse": 2,
-                             **{("level", j): 1 for j in range(1, 7)}})
+    assert built == Counter({"pair": 1, "inverse": 2, ("dh", 6): 1})
 
 
 # ------------------------------------------------------- other subcommands

@@ -24,7 +24,7 @@ def ext_pl():
 
 def cell(ext, j, k):
     """(r_min, r_max, theta_min, theta_max) of cell (j, k) as sampled."""
-    _, r_nodes, wr, ang_w = ext.level_samples(j)
+    _, r_nodes, wr, ang_w = ext.level_samples(j)[j - 1]
     # the Gauss nodes are symmetric about the middle of the interval
     r_mid, r_width = float(np.mean(r_nodes)), math.fsum(wr)
     t_width = math.fsum(ang_w)
@@ -36,7 +36,7 @@ def assert_samples_in_cell(ext, j, k):
     # the samples stored for cell index k-1 are |Dh| at the Gauss nodes
     # of the polar rectangle of cell (j, k)
     r_min, r_max, t_min, t_max = cell(ext, j, k)
-    dh, r_nodes, _, _ = ext.level_samples(j)
+    dh, r_nodes, _, _ = ext.level_samples(j)[j - 1]
     for ri in (0, 3):
         assert r_min < r_nodes[ri] < r_max
         for gi in (0, 3):

@@ -3,10 +3,12 @@ staircase Fourier coefficients.
 
 tracemalloc counts numpy's buffers as they are allocated, so the peak of
 one step is the same from run to run, unlike the resident set size.  The
-|Dh| stage to level 14 holds its table of boundary samples and the FFT
-grid, 2^21 complex values (32 MB) each, and peaks in the fold of level
-14's outermost radius, whose damped series and padded rows add about
-20 MB to them.  The pair stage is measured
+|Dh| stage to level 14 transforms one grid of 2^21 boundary samples
+(32 MB) in place and halves it in place for the smaller radii; it peaks
+while the samples are evaluated and exponentiated, or in the fold of
+level 14's outermost radius, whose damped series and padded rows add
+about 20 MB to the grid.  Afterwards the extension holds only the
+samples, about 4 MB.  The pair stage is measured
 after the |Dh| stage, as in an ``energy`` command.  The pair geometry
 holds a count per (offset, slope) and the image chords of the straddling
 pairs only: the pairs with a breakpoint of the lift, 0 or 1 between their
@@ -25,8 +27,9 @@ from harmext.report import EnergyParams
 
 PL_KINKED = ((0.0, 0.0), (0.25, 0.5), (0.75, 0.6), (1.0, 1.0))
 
-# levels 1..14 of pl_kinked peak at 89.3 MB and hold 68 MB afterwards
-DH_STAGE_PEAK_MB = 92.0
+# levels 1..14 of pl_kinked peak at 53.3 MB and hold 4.1 MB afterwards
+DH_STAGE_PEAK_MB = 60.0
+DH_STAGE_HELD_MB = 8.0
 # the build of pl_kinked peaks near 2 MB, its geometry holds 0.4 MB
 BUILD_PEAK_MB = 16.0
 # U holds one ring's ratios and weights, with Phi's two buffers, at a time
@@ -50,18 +53,19 @@ def test_dh_stage_peak_stays_bounded():
     ext = PoissonExtension(circle_map.piecewise_linear(PL_KINKED))
     tracemalloc.start()
     try:
-        _, stage_mb = _traced_peak_mb(
-            lambda: [ext.level_samples(j) for j in range(1, 15)])
+        _, stage_mb = _traced_peak_mb(lambda: ext.level_samples(14))
+        held_mb = tracemalloc.get_traced_memory()[0] / 2 ** 20
     finally:
         tracemalloc.stop()
     assert stage_mb <= DH_STAGE_PEAK_MB
+    # the samples themselves, 16 (2 + 4 + ... + 2^14) floats: no grid
+    assert held_mb <= DH_STAGE_HELD_MB
 
 
 def test_pair_stage_peaks_stay_bounded():
     m = circle_map.piecewise_linear(PL_KINKED)
     ext = PoissonExtension(m)
-    for j in range(1, 15):
-        ext.level_samples(j)
+    ext.level_samples(14)
     tracemalloc.start()
     try:
         geom, build_mb = _traced_peak_mb(

@@ -7,7 +7,8 @@ import pytest
 
 from harmext import circle_map
 from harmext.errors import DomainError, PrecisionError
-from harmext.poisson import _G4X, PoissonExtension, _power_series
+from harmext.poisson import (_G4X, PoissonExtension, _alias_half,
+                             _power_series)
 from harmext.report import EnergyParams
 
 from conftest import wirtinger_fd
@@ -230,7 +231,7 @@ def test_slice_samples_match_pointwise(ext_pl):
     # the FFT radial-slice evaluation must agree with the direct kernel
     # quadrature at matching Gauss nodes
     j = 5
-    dh, r_nodes, _, _ = ext_pl.level_samples(j)
+    dh, r_nodes, _, _ = ext_pl.level_samples(j)[j - 1]
     for ri in (0, 3):
         for gi in (1, 2):
             for cell_idx in (0, 7, 20):
@@ -249,8 +250,10 @@ def test_level_samples_fill_the_level_annulus(ext_pl):
     # reaches down to the centre
     annuli = {1: (0.0, 0.5), 2: (0.5, 0.75), 3: (0.75, 0.875),
               4: (0.875, 0.9375)}
+    levels = ext_pl.level_samples(4)
+    assert len(levels) == 4
     for j, (r_min, r_max) in annuli.items():
-        dh, r_nodes, wr, ang_w = ext_pl.level_samples(j)
+        dh, r_nodes, wr, ang_w = levels[j - 1]
         assert dh.shape == (4, 4, 2 ** j)
         assert np.all((r_nodes > r_min) & (r_nodes < r_max))
         assert math.fsum(wr) == pytest.approx(r_max - r_min, rel=1e-14)
@@ -260,45 +263,81 @@ def test_level_samples_fill_the_level_annulus(ext_pl):
 
 @pytest.mark.parametrize("name", ["pl_kinked", "staircase_s2"])
 def test_level_samples_do_not_depend_on_call_order(fleet, name):
-    # level 14 builds a much finer coefficient grid than level 9 needs;
-    # the shallower levels sampled after it must come out the same
-    fresh = PoissonExtension(fleet[name])
-    after_deep = PoissonExtension(fleet[name])
-    after_deep.level_samples(14)
-    for j in (1, 3, 6, 9):
-        np.testing.assert_array_equal(after_deep.level_samples(j)[0],
-                                      fresh.level_samples(j)[0])
+    # the samples depend on the map and J alone: J = 9 built after J = 14,
+    # whose top grid is 32 times finer, equals J = 9 built first, and J = 14
+    # built after J = 9 equals J = 14 built first
+    deep_first = PoissonExtension(fleet[name])
+    shallow_first = PoissonExtension(fleet[name])
+    deep_first.level_samples(14)
+    shallow_first.level_samples(9)
+    for J in (9, 14):
+        for a, b in zip(deep_first.level_samples(J),
+                        shallow_first.level_samples(J)):
+            np.testing.assert_array_equal(a[0], b[0])
+
+
+# |c_k| <= 1; eight halvings from 2^22 differ from the direct FFTs by at
+# most 2.3e-16 on pl_kinked and the staircase
+HALVING_ATOL = 1e-15
+
+
+@pytest.mark.parametrize("name", ["pl_kinked", "staircase_s2"])
+def test_halved_grids_match_direct_ffts(fleet, name):
+    # c^(m/2)_k = c^(m)_k + c^(m)_(k+m/2): every grid halved down from
+    # 2^22 is the FFT of its own boundary samples, up to rounding
+    ext = PoissonExtension(fleet[name])
+    grid = ext.boundary_values(1 << 22)
+    np.fft.fft(grid, norm="forward", out=grid)
+    for e in range(21, 13, -1):
+        grid = _alias_half(grid)
+        direct = np.fft.fft(ext.boundary_values(1 << e), norm="forward")
+        assert np.max(np.abs(grid - direct)) <= HALVING_ATOL, e
+
+
+def _grid_size(r):
+    need = int(37.0 / max(1.0 - r, 1e-12)) + 1
+    length = 2 * min(need, 1 << 21)
+    return min(max(1 << 14, 1 << (max(length, 1) - 1).bit_length()), 1 << 22)
 
 
 class _ReferenceStage:
-    """The |Dh| stage computed the plain way, one grid at a time.
+    """The |Dh| stage computed the plain way.
 
-    Every coefficient grid evaluates and exponentiates all of its boundary
-    samples afresh, the fold sums a (rows x C) product per offset, and the
-    scalings are explicit divisions and products.  ``level_samples`` must
-    give the same bits.
+    Each coefficient grid is either the FFT of its own boundary samples,
+    evaluated and exponentiated afresh (one grid per radius), or, with
+    ``halve``, the first grid asked for, halved by out-of-place sums
+    c[:m/2] + c[m/2:].  The fold sums a (rows x C) product per offset,
+    and the scalings are explicit divisions and products.
+    ``level_samples`` must give the same bits as the halving form.
     """
 
-    def __init__(self, boundary):
+    def __init__(self, boundary, halve):
         self.boundary = boundary
+        self.halve = halve
         self.coeffs = None
 
-    def fourier_coeffs(self, length):
-        m = min(max(1 << 14, 1 << (max(length, 1) - 1).bit_length()),
-                1 << 22)
-        if self.coeffs is None or self.coeffs.size != m:
-            self.coeffs = None
-            samples = np.multiply(self.boundary.eval(np.arange(m) / m),
-                                  2j * np.pi)
-            coeffs = np.fft.fft(np.exp(samples, out=samples))
-            coeffs /= m
-            self.coeffs = coeffs
+    def fourier_coeffs(self, m):
+        if self.coeffs is not None and self.coeffs.size == m:
+            return self.coeffs
+        if self.halve and self.coeffs is not None:
+            # the radii come from the outside in, so m only shrinks
+            assert m < self.coeffs.size
+            while self.coeffs.size > m:
+                h = self.coeffs.size // 2
+                self.coeffs = self.coeffs[:h] + self.coeffs[h:]
+            return self.coeffs
+        self.coeffs = None
+        samples = np.multiply(self.boundary.eval(np.arange(m) / m),
+                              2j * np.pi)
+        coeffs = np.fft.fft(np.exp(samples, out=samples))
+        coeffs /= m
+        self.coeffs = coeffs
         return self.coeffs
 
     def slice_derivatives(self, r, j, offsets):
         C = 1 << j
         need = int(37.0 / max(1.0 - r, 1e-12)) + 1
-        coeffs = self.fourier_coeffs(2 * min(need, 1 << 21))
+        coeffs = self.fourier_coeffs(_grid_size(r))
         M = coeffs.size
         n_terms = max(min(need, M // 2), 1)
         k = np.arange(1, n_terms + 1)
@@ -325,10 +364,11 @@ class _ReferenceStage:
         return fold(a, +1), fold(b, -1)
 
     def dh(self, j, r_nodes):
+        """Level j's samples, its radii taken from the outside in."""
         offsets = [float(g) for g in _G4X]
         out = np.empty((4, 4, 1 << j))
-        for ri, r in enumerate(r_nodes):
-            hz, hzb = self.slice_derivatives(float(r), j, offsets)
+        for ri in range(3, -1, -1):
+            hz, hzb = self.slice_derivatives(float(r_nodes[ri]), j, offsets)
             out[ri] = np.abs(hz) + np.abs(hzb)
         return out
 
@@ -336,13 +376,27 @@ class _ReferenceStage:
 @pytest.mark.parametrize("name", ["identity", "rotation", "pl_mild",
                                   "pl_kinked", "staircase_s2"])
 def test_level_samples_are_the_reference_bit_for_bit(fleet, name):
-    # the held table of boundary samples, the forward-scaled FFTs and the
+    # the in-place FFT, the in-place halving, the forward scaling and the
     # row-by-row fold change no bit of the samples
     deepest = 14 if name in ("pl_kinked", "staircase_s2") else 12
-    ext, ref = PoissonExtension(fleet[name]), _ReferenceStage(fleet[name])
-    for j in range(1, deepest + 1):
-        dh, r_nodes, _, _ = ext.level_samples(j)
+    ext = PoissonExtension(fleet[name])
+    ref = _ReferenceStage(fleet[name], halve=True)
+    levels = ext.level_samples(deepest)
+    for j in range(deepest, 0, -1):
+        dh, r_nodes, _, _ = levels[j - 1]
         assert np.array_equal(dh, ref.dh(j, r_nodes)), j
+
+
+@pytest.mark.parametrize("name", ["identity", "rotation", "pl_mild",
+                                  "pl_kinked", "staircase_s2"])
+def test_shallow_samples_are_one_grid_per_radius_bit_for_bit(fleet, name):
+    # up to level 7 every radius asks for the 2^14 grid, so nothing is
+    # halved and the samples are those of a fresh FFT per radius
+    ext = PoissonExtension(fleet[name])
+    ref = _ReferenceStage(fleet[name], halve=False)
+    for J in range(1, 8):
+        for j, (dh, r_nodes, _, _) in enumerate(ext.level_samples(J), 1):
+            assert np.array_equal(dh, ref.dh(j, r_nodes)), (J, j)
 
 
 def test_levels_the_series_cap_would_cut_raise_before_sampling():
@@ -357,14 +411,13 @@ def test_levels_the_series_cap_would_cut_raise_before_sampling():
                            match=r"level 1[78] needs \d+ series terms .* "
                                  r"over the cap of 2097152"):
             call()
-    assert ext._boundary_table is None and ext._coeffs is None
     assert not ext._samples
 
 
 def test_level_samples_cached(ext_pl):
     a = ext_pl.level_samples(4)
     b = ext_pl.level_samples(4)
-    assert a[0] is b[0]
+    assert a is b
 
 
 def test_extensions_compare_by_their_maps():
@@ -378,7 +431,7 @@ def test_extensions_compare_by_their_maps():
 
 def test_extension_caches_are_not_arguments():
     with pytest.raises(TypeError):
-        PoissonExtension(circle_map.identity(), _coeffs=[1, 2])
+        PoissonExtension(circle_map.identity(), _samples={})
 
 
 # ---------------------------------------------------------- the integrals
