@@ -55,23 +55,19 @@ once per level and shared by its four radii.  A radius is cut at 2^21
 series terms, and a level whose first dropped power r^n exceeds 1e-14
 (every level past 16) raises PrecisionError before any grid is built.
 The samples of levels 1..J are one build (``level_samples(J)``), cached
-per J and reused across parameter points: a ``PoissonExtension`` is the
-map-only stage of I1 and I2, and the ``energy`` and ``sweep`` commands
-build one per command (``cli.STAGES``) and evaluate every parameter point
-against it.  A build runs one FFT of size 2^14 or more.  Radius r folds the
-coefficients of m(r) boundary samples e^{2 pi i eval(k/m)}, m(r) the power
-of two past twice its series length (2^21 for level 14's outermost
-radius).  The build walks the radii from the outside in, levels J..1 and
-each level's radii outermost first, so m(r) never grows: it fills the
-largest grid (``boundary_values``, a fresh array), transforms it in place,
-and before each radius that needs fewer samples halves it in place by
-the trapezoid aliasing identity c^(m/2)_k = c^(m)_k + c^(m)_(k+m/2)
-(``_alias_half``; Trefethen & Weideman, SIAM Rev. 56, 2014).  Up to
-J = 7 every radius uses 2^14, so those samples are bit for bit those of a
-fresh FFT per radius; a halved grid differs from the FFT of its own
-samples by rounding only.  The samples depend on (map, J), not on the
-order of calls, and afterwards the extension holds them alone (4 MB at
-J = 14), no grid.
+per J: a ``PoissonExtension`` is the map-only stage of I1 and I2, built
+once per ``energy`` or ``sweep`` command (``cli.STAGES``) and evaluated at
+every parameter point.  Radius r folds the FFT coefficients of m(r)
+boundary samples e^{2 pi i eval(k/m)}, m(r) >= 2^14 the least power of two
+that holds twice its series length (2^21 at level 14's outermost radius).  A build runs
+one FFT, in place, on the largest grid (``boundary_values``), and walks
+the radii from the outside in, so m(r) never grows; before each radius
+that needs fewer samples it halves the grid in place by the trapezoid
+aliasing identity c^(m/2)_k = c^(m)_k + c^(m)_(k+m/2) (``_alias_half``;
+Trefethen & Weideman, SIAM Rev. 56, 2014).  Up to J = 7 every radius uses
+2^14, so no bit differs from a fresh FFT per radius; deeper, a halved grid
+differs from the FFT of its own samples by rounding only.  The samples
+depend on (map, J) alone, and the extension holds no grid afterwards.
 """
 
 from __future__ import annotations
@@ -129,11 +125,8 @@ def _grid_size(r: float) -> int:
 
 
 def _alias_half(grid: np.ndarray) -> np.ndarray:
-    """The coefficients of every other sample, from those of all of them.
-
-    c^(m/2)_k = c^(m)_k + c^(m)_(k+m/2) for forward-scaled FFT
-    coefficients; computed in place, into the first half of ``grid``.
-    """
+    """c^(m/2)_k = c^(m)_k + c^(m)_(k+m/2), the forward-scaled FFT of every
+    other sample, computed in place in the first half of ``grid``."""
     half = grid.size // 2
     grid[:half] += grid[half:]
     return grid[:half]
@@ -143,13 +136,12 @@ def _slice_derivatives(coeffs: np.ndarray, r: float, j: int, offsets,
                        col_phases):
     """h_z and h_zbar at r * exp(2 pi i (l + g)/2^j), l = 0..2^j-1.
 
-    ``coeffs`` is a forward-scaled FFT grid of the boundary samples.  One
-    row per angular offset g in ``offsets``: each returned array has shape
-    (len(offsets), 2^j).  ``col_phases[sign]`` holds
+    One row per angular offset g in ``offsets``: each returned array has
+    shape (len(offsets), 2^j).  ``col_phases[sign]`` holds
     e^(sign 2 pi i g l / 2^j) per offset, shared by the radii of the
-    level.  Folds the damped coefficient series into 2^j residue classes
-    once per radius; the result is the trapezoid kernel quadrature with
-    the full coefficient grid, evaluated exactly on the slices.
+    level.  Folds the damped series of the FFT grid ``coeffs`` into 2^j
+    residue classes; the result is the trapezoid kernel quadrature with
+    the full grid, evaluated exactly on the slices.
     """
     C = 1 << j
     M = coeffs.size
@@ -334,13 +326,8 @@ class PoissonExtension:
 
         Returns a tuple whose entry j - 1 is (dh, r_nodes, radial_weights,
         angular_weight) for level j, where dh has shape (4, 4, 2^j): radial
-        node x angular offset x cell.  Cached per J.  Raises
-        PrecisionError, before any grid is built, for a J the series cap
-        would cut (every J past 16).
-
-        One FFT serves every radius: the radii are walked from the outside
-        in, so the grid size m(r) never grows, and each smaller grid is the
-        larger one aliased in place (``_alias_half``).
+        node x angular offset x cell.  Raises PrecisionError, before any
+        grid is built, for a J the series cap would cut (every J past 16).
         """
         if max_level < 1:
             raise DomainError(f"level must be >= 1, got {max_level}")
@@ -353,6 +340,7 @@ class PoissonExtension:
         np.fft.fft(grid, norm="forward", out=grid)
         offsets = [float(g) for g in _G4X]
         samples = []
+        # from the outside in, so the grid size m(r) never grows
         for j in range(max_level, 0, -1):
             r_nodes, wr = nodes[j - 1]
             n_cells = 1 << j
