@@ -31,9 +31,9 @@ piece steeper than the grid resolves, the result lies within one grid
 step of the preimage.
 
 The map keeps no table of its values: the |Dh| stage reads it once per
-build, at the dyadic points k 2^-e of its largest grid, through
-``PoissonExtension.boundary_values``, which returns a fresh array of
-exponentiated boundary samples.  Arguments are
+build, at the dyadic points k 2^-e of its largest grid, a quarter of them
+at a time (``poisson._coefficient_grid``), and exponentiates the samples
+in place in that grid.  Arguments are
 checked once, at the public entry points (``lift_eval``, ``eval``,
 ``invert``), which refuse non-finite points; ``_lift``, the interpolation
 itself, is what they and the inverse's grid search share.

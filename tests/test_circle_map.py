@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from harmext import circle_map
 from harmext.boundary import inverse_kernel_geometries
 from harmext.cantor import make_staircase_map
-from harmext.errors import DomainError, LabError
-from harmext.poisson import PoissonExtension
+from harmext.errors import DomainError
 
 from conftest import build_fleet
 
@@ -166,46 +165,28 @@ def test_eval_and_invert_leave_their_argument_alone(rho):
 
 
 # ------------------------------------------------------- dyadic samples
-# The |Dh| stage reads the map at the dyadic points k/n through the
-# boundary samples e^(2 pi i eval(k/n)) of its extension.
+# The |Dh| stage reads the map at the dyadic points k/n, a quarter of them
+# at a time: row r of its coefficient grid gets e^(2 pi i eval(k/n)) at
+# k = 4t + r.
 
 DYADIC_LEVELS = (3, 21, 10, 14, 18)
 
 
 @pytest.mark.parametrize("name", FLEET_NAMES)
 def test_dyadic_values_are_eval_in_any_order(fleet, name):
-    # each order starts from a fresh extension
+    # each order starts from a fresh map; every row's samples are those of
+    # the natural order at its indices
     want = {}
     for e in DYADIC_LEVELS:
         n = 1 << e
         want[e] = np.exp(2j * np.pi * fleet[name].eval(np.arange(n) / n))
     for order in (DYADIC_LEVELS, DYADIC_LEVELS[::-1]):
-        ext = PoissonExtension(build_fleet()[name])
+        m = build_fleet()[name]
         for e in order:
-            assert np.array_equal(ext.boundary_values(1 << e), want[e]), \
-                (order, e)
-
-
-def test_dyadic_values_are_fresh_arrays():
-    # the |Dh| stage transforms its samples in place: a write into one
-    # result reaches no other
-    ext = PoissonExtension(circle_map.piecewise_linear(PL))
-    vals = ext.boundary_values(16)
-    want = vals.copy()
-    vals[0] = 0.5
-    assert np.array_equal(ext.boundary_values(16), want)
-    assert np.array_equal(ext.boundary_values(32)[::2], want)
-
-
-@pytest.mark.parametrize("n", [-1, 2.0, None])
-def test_dyadic_values_reject_bad_levels(n):
-    with pytest.raises(DomainError):
-        PoissonExtension(circle_map.identity()).boundary_values(n)
-
-
-def test_dyadic_values_say_when_over_budget():
-    with pytest.raises(LabError, match="budget"):
-        PoissonExtension(circle_map.identity()).boundary_values(1 << 23)
+            n = 1 << e
+            for r in range(4):
+                row = np.exp(2j * np.pi * m.eval(np.arange(r, n, 4) / n))
+                assert np.array_equal(row, want[e][r::4]), (order, e, r)
 
 
 # ---------------------------------------------------------------- invert

@@ -3,20 +3,26 @@ staircase Fourier coefficients.
 
 tracemalloc counts numpy's buffers as they are allocated, so the peak of
 one step is the same from run to run, unlike the resident set size.  The
-|Dh| stage to level 14 transforms one grid of 2^21 boundary samples
-(32 MB) in place and halves it in place for the smaller radii; it peaks
-while the samples are evaluated and exponentiated, or in the fold of
-level 14's outermost radius, whose damped series and padded rows add
-about 20 MB to the grid.  Afterwards the extension holds only the
-samples, about 4 MB.  The pair stage is measured
-after the |Dh| stage, as in an ``energy`` command.  The pair geometry
-holds a count per (offset, slope) and the image chords of the straddling
-pairs only: the pairs with a breakpoint of the lift, 0 or 1 between their
-ends.  The staircase recursion runs over blocks of frequencies, so a long
+|Dh| stage to level 14 builds one grid of 2^21 FFT coefficients (32 MB)
+in place from four quarter FFTs and halves it in place for the smaller
+radii; it peaks in the fold of level 14's outermost radius, whose damped
+series and padded rows add about 20 MB to the grid.  Afterwards the
+extension holds only the samples, about 4 MB.  pocketfft's work buffers
+are invisible to tracemalloc, so the stage's high-water mark of resident
+memory is checked in a fresh process: each quarter FFT's buffers take
+about 8 MB, where one FFT of the whole grid took 64 MB.  The pair stage
+is measured after the |Dh| stage, as in an ``energy`` command.  The pair
+geometry holds a count per (offset, slope) and the image chords of the
+straddling pairs only: the pairs with a breakpoint of the lift, 0 or 1
+between their ends.  The staircase recursion runs over blocks of frequencies, so a long
 frequency vector costs its output and one block's arrays.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +36,9 @@ PL_KINKED = ((0.0, 0.0), (0.25, 0.5), (0.75, 0.6), (1.0, 1.0))
 # levels 1..14 of pl_kinked peak at 53.3 MB and hold 4.1 MB afterwards
 DH_STAGE_PEAK_MB = 60.0
 DH_STAGE_HELD_MB = 8.0
+# a fresh process that builds them peaks at 85 MB resident, 30 MB of it
+# the interpreter and numpy; one FFT of the whole grid took it to 145 MB
+DH_STAGE_MAXRSS_MB = 110.0
 # the build of pl_kinked peaks near 2 MB, its geometry holds 0.4 MB
 BUILD_PEAK_MB = 16.0
 # U holds one ring's ratios and weights, with Phi's two buffers, at a time
@@ -60,6 +69,29 @@ def test_dh_stage_peak_stays_bounded():
     assert stage_mb <= DH_STAGE_PEAK_MB
     # the samples themselves, 16 (2 + 4 + ... + 2^14) floats: no grid
     assert held_mb <= DH_STAGE_HELD_MB
+
+
+# the child reads VmHWM, the peak resident set of its own address space:
+# Linux carries the parent's ru_maxrss over fork and exec, so under pytest
+# a child's ru_maxrss starts at the test session's peak
+DH_STAGE_COLD = f"""
+from harmext import circle_map
+from harmext.poisson import PoissonExtension
+PoissonExtension(circle_map.piecewise_linear({PL_KINKED!r})).level_samples(14)
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status
+               if line.startswith("VmHWM:")))
+"""
+
+
+def test_dh_stage_resident_peak_stays_bounded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", DH_STAGE_COLD], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    # VmHWM is in kB
+    assert int(done.stdout) / 2 ** 10 <= DH_STAGE_MAXRSS_MB
 
 
 def test_pair_stage_peaks_stay_bounded():

@@ -7,8 +7,8 @@ import pytest
 
 from harmext import circle_map
 from harmext.errors import DomainError, PrecisionError
-from harmext.poisson import (_G4X, PoissonExtension, _alias_half,
-                             _power_series)
+from harmext.poisson import (_G4X, _JOIN_CHUNK, PoissonExtension,
+                             _alias_half, _coefficient_grid, _power_series)
 from harmext.report import EnergyParams
 
 from conftest import wirtinger_fd
@@ -40,9 +40,14 @@ def test_identity_derivatives(ext_identity):
     assert ext_identity.derivative_norm(0.2j) == pytest.approx(1.0, abs=1e-9)
 
 
+def _boundary_samples(boundary, n):
+    """e^(2 pi i eval(k/n)), k = 0..n-1, in natural order."""
+    return np.exp(2j * np.pi * boundary.eval(np.arange(n) / n))
+
+
 def test_mean_value_property(ext_pl):
     # h(0) equals the boundary mean
-    vals = ext_pl.boundary_values(1 << 16)
+    vals = _boundary_samples(ext_pl.boundary, 1 << 16)
     assert abs(ext_pl.extend(0.0) - vals.mean()) < 1e-8
 
 
@@ -62,12 +67,6 @@ def test_extension_rejects_non_finite_points(bad):
             call(bad)
         with pytest.raises(DomainError):
             call(np.array([0.3, bad]))
-
-
-@pytest.mark.parametrize("n", [0, -4, 3, 100, 2.0 ** 10])
-def test_boundary_values_need_a_power_of_two(ext_pl, n):
-    with pytest.raises(DomainError):
-        ext_pl.boundary_values(n)
 
 
 def test_level_samples_need_a_positive_level(ext_pl):
@@ -276,22 +275,54 @@ def test_level_samples_do_not_depend_on_call_order(fleet, name):
             np.testing.assert_array_equal(a[0], b[0])
 
 
-# |c_k| <= 1; eight halvings from 2^22 differ from the direct FFTs by at
-# most 2.3e-16 on pl_kinked and the staircase
+# |c_k| <= 1; the quarter-built grids 2^14..2^22, and eight halvings from
+# 2^22, differ from the direct FFTs by at most 2.3e-16 on pl_kinked and
+# the staircase
 HALVING_ATOL = 1e-15
+
+
+def _direct_grid(boundary, m):
+    return np.fft.fft(_boundary_samples(boundary, m), norm="forward")
+
+
+@pytest.mark.parametrize("name", ["pl_kinked", "staircase_s2"])
+def test_quarter_built_grids_match_direct_ffts(fleet, name):
+    # four quarter FFTs joined in place give c_0..c_(m-1) in natural order
+    for e in range(14, 23):
+        grid = _coefficient_grid(fleet[name], 1 << e)
+        direct = _direct_grid(fleet[name], 1 << e)
+        assert np.max(np.abs(grid - direct)) <= HALVING_ATOL, e
 
 
 @pytest.mark.parametrize("name", ["pl_kinked", "staircase_s2"])
 def test_halved_grids_match_direct_ffts(fleet, name):
     # c^(m/2)_k = c^(m)_k + c^(m)_(k+m/2): every grid halved down from
     # 2^22 is the FFT of its own boundary samples, up to rounding
-    ext = PoissonExtension(fleet[name])
-    grid = ext.boundary_values(1 << 22)
-    np.fft.fft(grid, norm="forward", out=grid)
+    grid = _coefficient_grid(fleet[name], 1 << 22)
     for e in range(21, 13, -1):
         grid = _alias_half(grid)
-        direct = np.fft.fft(ext.boundary_values(1 << e), norm="forward")
+        direct = _direct_grid(fleet[name], 1 << e)
         assert np.max(np.abs(grid - direct)) <= HALVING_ATOL, e
+
+
+def _quarter_fft(samples):
+    """The forward-scaled FFT of ``samples`` by the quarter transform of
+    ``level_samples``, out of place: the FFTs y_r of the samples 4t + r,
+    each column q twiddled by w^(rq), w = e^(-2 pi i/M), taken as the
+    product of w^(r a) and w^(r (q - a)) for q's chunk start a, then a
+    4-point DFT down the columns and a division by 4."""
+    M = samples.size
+    N = M // 4
+    y = np.fft.fft(samples.reshape(N, 4).T, axis=1) / N
+    q = np.arange(N)
+    r = np.arange(1, 4)[:, None]
+    offset = q % _JOIN_CHUNK
+    twiddle = np.exp(2j * np.pi * (r * offset / -M)) \
+        * np.exp(2j * np.pi * (r * (q - offset) / -M))
+    z = np.concatenate([y[:1], y[1:] * twiddle])
+    a, b = z[0] + z[2], z[0] - z[2]
+    c, d = z[1] + z[3], (z[1] - z[3]) * -1j
+    return np.concatenate([a + c, b + d, a - c, b - d]) / 4
 
 
 def _grid_size(r):
@@ -303,12 +334,13 @@ def _grid_size(r):
 class _ReferenceStage:
     """The |Dh| stage computed the plain way.
 
-    Each coefficient grid is either the FFT of its own boundary samples,
-    evaluated and exponentiated afresh (one grid per radius), or, with
-    ``halve``, the first grid asked for, halved by out-of-place sums
-    c[:m/2] + c[m/2:].  The fold sums a (rows x C) product per offset,
-    and the scalings are explicit divisions and products.
-    ``level_samples`` must give the same bits as the halving form.
+    Each coefficient grid is either the quarter transform (``_quarter_fft``)
+    of its own boundary samples, evaluated and exponentiated afresh (one
+    grid per radius), or, with ``halve``, the first grid asked for, halved
+    by out-of-place sums c[:m/2] + c[m/2:].  The fold sums a (rows x C)
+    product per offset, and the scalings are explicit divisions and
+    products.  ``level_samples`` must give the same bits as the halving
+    form.
     """
 
     def __init__(self, boundary, halve):
@@ -327,11 +359,7 @@ class _ReferenceStage:
                 self.coeffs = self.coeffs[:h] + self.coeffs[h:]
             return self.coeffs
         self.coeffs = None
-        samples = np.multiply(self.boundary.eval(np.arange(m) / m),
-                              2j * np.pi)
-        coeffs = np.fft.fft(np.exp(samples, out=samples))
-        coeffs /= m
-        self.coeffs = coeffs
+        self.coeffs = _quarter_fft(_boundary_samples(self.boundary, m))
         return self.coeffs
 
     def slice_derivatives(self, r, j, offsets):
@@ -376,8 +404,8 @@ class _ReferenceStage:
 @pytest.mark.parametrize("name", ["identity", "rotation", "pl_mild",
                                   "pl_kinked", "staircase_s2"])
 def test_level_samples_are_the_reference_bit_for_bit(fleet, name):
-    # the in-place FFT, the in-place halving, the forward scaling and the
-    # row-by-row fold change no bit of the samples
+    # the in-place quarter transform and join, the in-place halving, the
+    # forward scaling and the row-by-row fold change no bit of the samples
     deepest = 14 if name in ("pl_kinked", "staircase_s2") else 12
     ext = PoissonExtension(fleet[name])
     ref = _ReferenceStage(fleet[name], halve=True)
