@@ -401,20 +401,22 @@ def certify_modulus(tree: StaircaseTree, form: str, exponent: float,
 
     form "log": omega(d) = log(1/d); form "loglog": omega(d) = log log(1/d).
     Pairs: random pairs at log-uniform separations, plus adversarial pairs
-    straddling plateau endpoints at every margin scale of the schedule.
+    straddling plateau endpoints at every margin scale of the schedule,
+    plus the ends of every gap of the tree.  The random and plateau pairs
+    are resolved with ``f_exact``; a gap of step n rises by exactly 2^-n.
     """
     if form not in ("log", "loglog"):
         raise DomainError(f"unknown modulus form {form!r}")
     sched = tree.schedule
     rng = np.random.default_rng(rng_seed)
-    pairs = []
+    pairs = []   # (a, b, rise), the rise None where f_exact must find it
 
     d_min = 2.0 ** -min(sched.margin_exponent(sched.depth), 900)
     for _ in range(n_samples):
         d = float(np.exp(rng.uniform(math.log(max(d_min, 1e-250)),
                                      math.log(0.05))))
         x = float(rng.uniform(0.0, 1.0 - min(d, 0.5)))
-        pairs.append((Fraction(x), Fraction(x) + Fraction(d)))
+        pairs.append((Fraction(x), Fraction(x) + Fraction(d), None))
 
     for n in range(1, sched.depth + 1):
         h = sched.margin(n) / 2
@@ -422,24 +424,29 @@ def certify_modulus(tree: StaircaseTree, form: str, exponent: float,
             for b in (lo, hi):
                 a, c = b - h, b + h
                 if 0 <= a and c <= 1:
-                    pairs.append((a, c))
+                    pairs.append((a, c, None))
 
     # residual-interval spans: the gaps left after step n lie between
     # consecutive plateaus of depth <= n, where the function rises by a
     # full dyadic step over the shortest possible distance, so these pairs
-    # are the extremal candidates at every scale
+    # are the extremal candidates at every scale; f(hi) = f(lo) + 2^-n by
+    # construction of the tree
     for n in range(1, sched.depth + 1):
-        pairs.extend((lo, hi) for lo, hi, _f in tree.gaps[n])
+        rise = 2.0 ** -n
+        pairs.extend((lo, hi, rise) for lo, hi, _f in tree.gaps[n])
 
     sup = -math.inf
     witness = None
-    for a, b in pairs:
+    for a, b, rise in pairs:
         sep = float(b - a)
         if sep <= 0 or sep >= 1:
             continue
-        fa, _ = f_exact(tree, a)
-        fb, _ = f_exact(tree, b)
-        diff = abs(float(fb - fa))
+        if rise is None:
+            fa, _ = f_exact(tree, a)
+            fb, _ = f_exact(tree, b)
+            diff = abs(float(fb - fa))
+        else:
+            diff = rise
         if form == "log":
             om = math.log(1.0 / sep)
         else:

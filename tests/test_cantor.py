@@ -353,6 +353,57 @@ def test_modulus_rejects_unknown_form(tree_s2):
         cantor.certify_modulus(tree_s2, "poly", 1.0)
 
 
+def _certify_modulus_by_f_exact(tree, form, exponent, n_samples, rng_seed):
+    """certify_modulus with every pair, the gap pairs too, resolved by two
+    f_exact walks: the pairs in the same order, the same strict > test."""
+    sched = tree.schedule
+    rng = np.random.default_rng(rng_seed)
+    pairs = []
+    d_min = 2.0 ** -min(sched.margin_exponent(sched.depth), 900)
+    for _ in range(n_samples):
+        d = float(np.exp(rng.uniform(math.log(max(d_min, 1e-250)),
+                                     math.log(0.05))))
+        x = float(rng.uniform(0.0, 1.0 - min(d, 0.5)))
+        pairs.append((Fraction(x), Fraction(x) + Fraction(d)))
+    for n in range(1, sched.depth + 1):
+        h = sched.margin(n) / 2
+        for lo, hi, _v in tree.plateaus[n][:32]:
+            for b in (lo, hi):
+                if 0 <= b - h and b + h <= 1:
+                    pairs.append((b - h, b + h))
+    for n in range(1, sched.depth + 1):
+        pairs.extend((lo, hi) for lo, hi, _f in tree.gaps[n])
+    sup, witness = -math.inf, None
+    for a, b in pairs:
+        sep = float(b - a)
+        if sep <= 0 or sep >= 1:
+            continue
+        diff = abs(float(cantor.f_exact(tree, b)[0]
+                         - cantor.f_exact(tree, a)[0]))
+        inner = math.log(1.0 / sep)
+        if form == "loglog" and inner <= 1.0:
+            continue
+        om = inner if form == "log" else math.log(inner)
+        prod = diff * om ** exponent
+        if prod > sup:
+            sup, witness = prod, (float(a), float(b), diff, sep)
+    return cantor.ModulusReport(sup_product=sup, witness=witness,
+                                pairs_checked=len(pairs))
+
+
+@pytest.mark.parametrize("kind,parameter,depth,form", [
+    ("power", 2.0, 12, "log"), ("power", 1.5, 10, "log"),
+    ("power", 4.0 / 3.0, 11, "loglog"), ("double_exp", 2.0, 3, "loglog")])
+def test_gap_pairs_rise_by_their_dyadic_step(kind, parameter, depth, form):
+    # certify_modulus takes each gap pair's rise 2^-n in closed form; the
+    # report is the one two f_exact walks per pair give, bit for bit
+    tree = cantor.build_tree(cantor.build_schedule(kind, parameter, depth))
+    for exponent, seed in ((1.0, 0), (2.0, 5)):
+        got = cantor.certify_modulus(tree, form, exponent, rng_seed=seed)
+        want = _certify_modulus_by_f_exact(tree, form, exponent, 400, seed)
+        assert got == want, (exponent, seed)
+
+
 @pytest.mark.parametrize("kind,parameter,depth", [
     ("power", 2.0, 12), ("power", 1.5, 10), ("double_exp", 2.0, 3)])
 def test_gaps_are_the_spans_between_sorted_plateaus(kind, parameter, depth):
