@@ -14,8 +14,9 @@ about 8 MB, where one FFT of the whole grid took 64 MB.  The pair stage
 is measured after the |Dh| stage, as in an ``energy`` command.  The pair
 geometry holds a count per (offset, slope) and the image chords of the
 straddling pairs only: the pairs with a breakpoint of the lift, 0 or 1
-between their ends.  The staircase recursion runs over blocks of frequencies, so a long
-frequency vector costs its output and one block's arrays.
+between their ends.  The staircase recursion runs over blocks of
+frequencies, so a long frequency vector costs its output and one block's
+arrays.
 """
 
 import os
