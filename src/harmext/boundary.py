@@ -2,7 +2,7 @@
 
 Two functionals over the unit circle (chord metric throughout):
 
-gauge_pair_energy ("U"):
+U, the Orlicz-gauge pair energy:
     int int Phi_{p,lam}( |phi(xi)-phi(eta)| / |xi-eta| ) |xi-eta|^alpha,
   computed by splitting the off-diagonal set into dyadic rings
   A_j = { arc distance in (pi 2^-j, pi 2^(1-j)] } and midpoint quadrature
@@ -16,7 +16,7 @@ gauge_pair_energy ("U"):
   exact in floating point up to the ring count ``PairGeometry.build``
   allows.
 
-inverse_kernel_energy ("V"):
+V, the inverse-kernel energy:
     int ( int A(|phi^-1 xi - phi^-1 eta|) |d eta| )^(p-1) |d xi|,
   where the kernel is
 
@@ -45,9 +45,8 @@ Both are computed in two stages.  The map-only stage is a geometry of
 chords (``PairGeometry.build``; the fine and coarse ``InverseGeometry``
 from ``inverse_kernel_geometries``), which a caller builds once and
 evaluates at any number of parameter points (``evaluate_gauge_pair``,
-``evaluate_inverse_kernel``).  ``gauge_pair_energy`` and
-``inverse_kernel_energy`` do both in one call.  A geometry lives as long
-as its caller holds it; nothing here is cached across calls.
+``evaluate_inverse_kernel``).  A geometry lives as long as its caller
+holds it; nothing here is cached across calls.
 """
 
 from __future__ import annotations
@@ -249,14 +248,6 @@ class PairGeometry:
 
 # -------------------------------------------------------------------- U
 
-def gauge_pair_energy(circle_map: CircleMap, params: EnergyParams,
-                      diagonal_rings: int = 12, n_outer: int = 256,
-                      n_inner: int = 32) -> EnergyReport:
-    """The Orlicz-gauge pair energy over the circle, by diagonal rings."""
-    geom = PairGeometry.build(circle_map, n_outer, n_inner, diagonal_rings)
-    return evaluate_gauge_pair(geom, params)
-
-
 def evaluate_gauge_pair(geom: PairGeometry,
                         params: EnergyParams) -> EnergyReport:
     """U at one parameter point from a built pair geometry.
@@ -344,15 +335,6 @@ def inverse_kernel_geometries(circle_map: CircleMap, n_outer: int = 192,
     coarse = InverseGeometry.build(circle_map, n_outer // 2,
                                    max(nodes_per_ring // 2, 4), total_rings)
     return fine, coarse
-
-
-def inverse_kernel_energy(circle_map: CircleMap, params: EnergyParams,
-                          n_outer: int = 192, nodes_per_ring: int = 32,
-                          total_rings: int = 28) -> EnergyReport:
-    """The kernel double integral V with positive-part outer power."""
-    return evaluate_inverse_kernel(
-        inverse_kernel_geometries(circle_map, n_outer, nodes_per_ring,
-                                  total_rings), params)
 
 
 def evaluate_inverse_kernel(geometries: tuple,

@@ -12,11 +12,11 @@ Flags each subcommand reads (``cli.COMMANDS``; any other flag is a usage
 error):
 
     energy, sweep  --map --p --alpha --lambda --levels --functionals
-                   --out --seed --format --config
-    examples       --out --seed --format --config
-    weights-check  --p --alpha --lambda --trials
-                   --out --seed --format --config
-    orlicz-check   --p --lambda --out --seed --format --config
+                   --out --format --config
+    examples       --out --format --config
+    weights-check  --p --alpha --lambda --trials --seed
+                   --out --format --config
+    orlicz-check   --p --lambda --out --format --config
 
 Only ``sweep`` takes several values of --p/--alpha/--lambda.
 
@@ -31,9 +31,9 @@ Map grammar (``--map``):
     cantor_log:s=<s>,depth=<N>
     cantor_loglog:p=<p>,depth=<N>
 
-Outputs are deterministic for a fixed seed: JSON is emitted with sorted
-keys, CSV rows in a fixed order, and all randomness flows through
-``--seed``.
+Outputs are deterministic: JSON is emitted with sorted keys and CSV rows
+in a fixed order.  ``weights-check`` is the one command that draws random
+numbers, and its ``--seed`` fixes them.
 """
 
 from __future__ import annotations
@@ -186,7 +186,6 @@ def cmd_energy(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "energy",
         "map": circle_map.description,
-        "seed": args.seed,
         "reports": [r.to_json_dict() for r in reports],
         "ratios": _ratio_summary(reports, params.p),
     }
@@ -218,7 +217,6 @@ def cmd_sweep(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "sweep",
         "map": circle_map.description,
-        "seed": args.seed,
         "grid": entries,
     }
     _emit(args, payload, rows)
@@ -288,7 +286,6 @@ def cmd_examples(args) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "examples",
-        "seed": args.seed,
         "checks": checks,
     }
     rows = [(c["study"], 0, 0.0, 0.0, "ok" if c["ok"] else "failed")
@@ -334,7 +331,6 @@ def cmd_orlicz_check(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "orlicz-check",
         "p": p, "lambda": lam,
-        "seed": args.seed,
         "breakpoints": {"t1": spec.t1, "t2": spec.t2, "k": spec.k_slope},
         "monotonicity_violations": rep.monotonicity_violations,
         "convexity_violations": rep.convexity_violations,
@@ -367,7 +363,7 @@ FLAGS = {
     "config": ({"help": "JSON file supplying defaults for the flags"}, None),
 }
 
-_OUTPUT = ("out", "seed", "format", "config")
+_OUTPUT = ("out", "format", "config")
 _ENERGY = ("map", "p", "alpha", "lambda", "levels", "functionals") + _OUTPUT
 
 # Subcommand -> (run(args), help, the flags it reads).  ``run`` looks its
@@ -381,7 +377,7 @@ COMMANDS = {
                  "run the counterexample studies", _OUTPUT),
     "weights-check": (lambda args: cmd_weights_check(args),
                       "A_p estimate + factorization",
-                      ("p", "alpha", "lambda", "trials") + _OUTPUT),
+                      ("p", "alpha", "lambda", "trials", "seed") + _OUTPUT),
     "orlicz-check": (lambda args: cmd_orlicz_check(args),
                      "gauge breakpoints + properties",
                      ("p", "lambda") + _OUTPUT),

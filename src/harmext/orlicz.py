@@ -21,6 +21,7 @@ First and second derivatives of Phi are evaluated in closed form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -209,6 +210,7 @@ class PropertyReport:
 
 # relative tolerance of the second-difference convexity check
 _SECOND_DIFF_TOL = 1e-9
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _default_grid(t_max: float, n: int) -> np.ndarray:
@@ -222,7 +224,19 @@ def verify_properties(spec: OrliczSpec, use_psi: bool = False,
                       grid_points: int = 4000) -> PropertyReport:
     """Check monotonicity, convexity (second differences), the doubling
     bound, the quasi-power bounds, and global Psi ~ Phi comparability on a
-    sample grid."""
+    sample grid.
+
+    The largest argument sampled is 2 t_max; DomainError, before any
+    sampling, if log Phi there passes the float range, where every check
+    would read inf or NaN.
+    """
+    top = 2.0 * t_max
+    log_top = spec.p * math.log(top) + spec.lam * math.log(math.log(_E + top))
+    if log_top >= _LOG_FLOAT_MAX:
+        raise DomainError(
+            f"Phi(2 t_max) = Phi({top:g}) = e^{log_top:.1f} passes the float "
+            f"range (e^{_LOG_FLOAT_MAX:.1f}) at p={spec.p}, "
+            f"lambda={spec.lam}")
     f = (lambda t: psi(spec, t)) if use_psi else (lambda t: phi(spec, t))
 
     grid = _default_grid(t_max, grid_points)

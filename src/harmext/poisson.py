@@ -93,10 +93,9 @@ _GAUSS4_X, _GAUSS4_W = np.polynomial.legendre.leggauss(4)
 _G4X = 0.5 * (_GAUSS4_X + 1.0)
 _G4W = 0.5 * _GAUSS4_W
 
-MAX_LEVEL_CELLS = 2 ** 22     # boundary samples in one grid
 _SERIES_DECAY = 37.0          # r^n < 1e-16 once n > 37 / (1 - r)
 _MAX_SERIES_TERMS = 1 << 20   # pointwise terms, |z| <= 1 - 3.5e-5
-_MAX_SLICE_TERMS = MAX_LEVEL_CELLS // 2   # damped series terms per radius
+_MAX_SLICE_TERMS = 1 << 21    # damped series terms per radius
 _SLICE_CUT = 1e-14            # largest first dropped power r^n allowed
 _RADIX = 4                    # rows of the coefficient grid's build
 _JOIN_CHUNK = 1 << 12         # columns per step of its join, 64 KB a row
@@ -109,6 +108,11 @@ def _level_nodes(j: int):
     return r_min + _G4X * width, _G4W * width
 
 
+def _series_terms(r: float) -> int:
+    """K = floor(37 / (1 - r)) + 1: past K terms, r^n < 1e-16 (0 <= r < 1)."""
+    return int(_SERIES_DECAY / max(1.0 - r, 1e-12)) + 1
+
+
 def _check_level_terms(j: int):
     """PrecisionError if level j's series would be cut where r^n > 1e-14.
 
@@ -116,7 +120,7 @@ def _check_level_terms(j: int):
     power, so it speaks for the level.
     """
     r = float(_level_nodes(j)[0][-1])
-    need = int(_SERIES_DECAY / max(1.0 - r, 1e-12)) + 1
+    need = _series_terms(r)
     if need > _MAX_SLICE_TERMS and r ** _MAX_SLICE_TERMS > _SLICE_CUT:
         raise PrecisionError(
             f"level {j} needs {need} series terms at r = {r!r}, over the "
@@ -127,8 +131,7 @@ def _check_level_terms(j: int):
 def _grid_size(r: float) -> int:
     """Size m(r) of the coefficient grid for radius r: the power of two
     that holds both halves of r's series, 2^14 <= m <= 2^22."""
-    need = int(_SERIES_DECAY / max(1.0 - r, 1e-12)) + 1
-    return max(1 << 14, 1 << (2 * min(need, _MAX_SLICE_TERMS) - 1)
+    return max(1 << 14, 1 << (2 * min(_series_terms(r), _MAX_SLICE_TERMS) - 1)
                .bit_length())
 
 
@@ -153,8 +156,7 @@ def _slice_derivatives(coeffs: np.ndarray, r: float, j: int, offsets,
     """
     C = 1 << j
     M = coeffs.size
-    need = int(_SERIES_DECAY / max(1.0 - r, 1e-12)) + 1
-    n_terms = max(min(need, M // 2), 1)
+    n_terms = max(min(_series_terms(r), M // 2), 1)
     # k r^(k-1), k = 1..n_terms, in one buffer (r > 0: a Gauss radius)
     damp = np.arange(n_terms) * math.log(r)
     np.exp(damp, out=damp)
@@ -304,7 +306,7 @@ class PoissonExtension:
     def _series_coeffs(self, z: np.ndarray):
         """(c_0, c_1..c_K, c_-1..c_-K) for the K the points need."""
         zmax = float(np.max(np.abs(z))) if z.size else 0.0
-        K = int(_SERIES_DECAY / (1.0 - zmax)) + 1
+        K = _series_terms(zmax)
         if K > _MAX_SERIES_TERMS:
             raise PrecisionError(
                 f"|z| = {zmax!r} needs K = {K} series terms, over the cap "
@@ -351,11 +353,6 @@ class PoissonExtension:
         if scalar:
             return complex(hz[0]), complex(hzb[0])
         return hz, hzb
-
-    def derivative_norm(self, z):
-        """|Dh| = |h_z| + |h_zbar| (operator norm of the differential)."""
-        hz, hzb = self.wirtinger(z)
-        return np.abs(hz) + np.abs(hzb)
 
     # ----------------------------------------------------- bulk sampling
 

@@ -76,13 +76,10 @@ class EnergyReport:
 
     def to_csv_rows(self) -> list:
         """Rows (functional, j, level_sum, cumulative, classification)."""
-        rows = []
-        cum = 0.0
-        for j, s in zip(self.levels, self.per_level):
-            cum += float(s)
-            rows.append((self.functional, int(j), float(s), cum,
-                         self.classification))
-        return rows
+        return [(self.functional, int(j), float(s), float(c),
+                 self.classification)
+                for j, s, c in zip(self.levels, self.per_level,
+                                   self.cumulative())]
 
 
 def _jsonable(v):

@@ -229,7 +229,7 @@ class ApEstimate:
     trials: int
 
 
-def estimate_ap_constant(spec: WeightSpec, p: float, trials: int = 200,
+def estimate_ap_constant(spec: WeightSpec, p: float, trials: int,
                          rng_seed: int = 0) -> ApEstimate:
     """Randomized lower estimate of the A_p constant of the weight.
 

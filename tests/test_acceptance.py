@@ -113,8 +113,9 @@ class TestAnchors:
             4 * math.pi ** 2 * (1 - 2.0 ** -20), abs=1e-4)
 
     def test_pair_energy_identity(self, fleet):
-        rep = boundary.gauge_pair_energy(fleet["identity"],
-                                         EnergyParams(2.0, 0.0, 0.0))
+        rep = boundary.evaluate_gauge_pair(
+            boundary.PairGeometry.build(fleet["identity"]),
+            EnergyParams(2.0, 0.0, 0.0))
         assert rep.value == pytest.approx(4 * math.pi ** 2, rel=1e-3)
 
     @pytest.mark.parametrize("name", ["identity", "rotation", "pl_mild",
@@ -126,14 +127,15 @@ class TestAnchors:
         c = fleet[name].fourier_coefficients(4096)
         k = np.arange(-4096, 4097)
         S = float(np.sum(np.abs(k) * np.abs(c) ** 2))
-        rep = boundary.gauge_pair_energy(fleet[name],
-                                         EnergyParams(2.0, 0.0, 0.0),
-                                         diagonal_rings=14)
+        rep = boundary.evaluate_gauge_pair(
+            boundary.PairGeometry.build(fleet[name], diagonal_rings=14),
+            EnergyParams(2.0, 0.0, 0.0))
         assert rep.value == pytest.approx(4 * math.pi ** 2 * S, rel=3e-4)
 
     def test_inverse_kernel_identity_mean_zero(self, fleet):
-        rep = boundary.inverse_kernel_energy(fleet["identity"],
-                                             EnergyParams(2.0, 0.0, 0.0))
+        rep = boundary.evaluate_inverse_kernel(
+            boundary.inverse_kernel_geometries(fleet["identity"]),
+            EnergyParams(2.0, 0.0, 0.0))
         assert abs(rep.value) <= 1e-3
 
     def test_dyadic_ratio_identity_closed_form(self, fleet):
@@ -401,9 +403,12 @@ class TestShallowStaircase:
             self, shallow_staircase):
         staircase = shallow_staircase
         params = EnergyParams(1.5, -0.5, 0.0)
-        v1 = boundary.inverse_kernel_energy(staircase, params).value
-        v2 = boundary.inverse_kernel_energy(staircase, params, n_outer=384,
-                                            nodes_per_ring=64).value
+        v1 = boundary.evaluate_inverse_kernel(
+            boundary.inverse_kernel_geometries(staircase), params).value
+        v2 = boundary.evaluate_inverse_kernel(
+            boundary.inverse_kernel_geometries(staircase, n_outer=384,
+                                               nodes_per_ring=64),
+            params).value
         assert v2 > 0
         assert abs(v2 - v1) <= 0.02 * abs(v2)
 

@@ -103,15 +103,16 @@ def test_kernel_interpolation_table_accuracy():
 # ---------------------------------------------------------------------- U
 
 def test_pair_energy_identity_constant_integrand():
-    rep = boundary.gauge_pair_energy(circle_map.identity(),
-                                     EnergyParams(2.0, 0.0, 0.0))
+    geom = boundary.PairGeometry.build(circle_map.identity())
+    rep = boundary.evaluate_gauge_pair(geom, EnergyParams(2.0, 0.0, 0.0))
     assert rep.value == pytest.approx(4 * math.pi ** 2, rel=1e-3)
 
 
 def test_pair_energy_rotation_invariant():
     params = EnergyParams(2.0, 0.3, 1.0)
-    a = boundary.gauge_pair_energy(circle_map.identity(), params)
-    b = boundary.gauge_pair_energy(circle_map.rotation_map(0.3), params)
+    a, b = (boundary.evaluate_gauge_pair(boundary.PairGeometry.build(m),
+                                         params)
+            for m in (circle_map.identity(), circle_map.rotation_map(0.3)))
     assert b.value == pytest.approx(a.value, rel=1e-12)
 
 
@@ -119,15 +120,17 @@ def test_pair_energy_dimension_reduction_oracle():
     # for the identity the double integral reduces to a single average of
     # chord^alpha over the offset, computed here by independent quadrature
     alpha = 0.5
-    rep = boundary.gauge_pair_energy(circle_map.identity(),
-                                     EnergyParams(2.0, alpha, 0.0))
+    rep = boundary.evaluate_gauge_pair(
+        boundary.PairGeometry.build(circle_map.identity()),
+        EnergyParams(2.0, alpha, 0.0))
     oracle, _ = quad(lambda u: (2 * math.sin(math.pi * u)) ** alpha, 0.0, 1.0)
     assert rep.value == pytest.approx((2 * math.pi) ** 2 * oracle, rel=1e-2)
 
 
 def test_pair_energy_rings_positive_and_recorded():
-    rep = boundary.gauge_pair_energy(circle_map.piecewise_linear(PL),
-                                     EnergyParams(2.0, 0.0, 0.0))
+    rep = boundary.evaluate_gauge_pair(
+        boundary.PairGeometry.build(circle_map.piecewise_linear(PL)),
+        EnergyParams(2.0, 0.0, 0.0))
     assert len(rep.per_level) == 12
     assert np.all(rep.per_level > 0)
     assert rep.value == pytest.approx(float(np.sum(rep.per_level)))
@@ -138,8 +141,9 @@ def test_pair_energy_rings_positive_and_recorded():
 def test_inverse_kernel_identity_mean_zero():
     # inner integral is the log-distance mean over the circle, which
     # vanishes at every boundary point
-    rep = boundary.inverse_kernel_energy(circle_map.identity(),
-                                         EnergyParams(2.0, 0.0, 0.0))
+    rep = boundary.evaluate_inverse_kernel(
+        boundary.inverse_kernel_geometries(circle_map.identity()),
+        EnergyParams(2.0, 0.0, 0.0))
     assert abs(rep.value) <= 1e-3
     assert "signed_value" in rep.notes
     assert isinstance(rep.notes["negative_inner_count"], int)
@@ -149,8 +153,9 @@ def test_inverse_kernel_identity_negative_alpha():
     # alpha = -1/2 keeps the kernel positive on most chords, so the inner
     # integral is positive; oracle by direct 1-D quadrature of
     # 2 ((2 sin pi u)^(-1/2) - 1) over the offset
-    rep = boundary.inverse_kernel_energy(circle_map.identity(),
-                                         EnergyParams(2.0, -0.5, 0.0))
+    rep = boundary.evaluate_inverse_kernel(
+        boundary.inverse_kernel_geometries(circle_map.identity()),
+        EnergyParams(2.0, -0.5, 0.0))
     inner_oracle, _ = quad(
         lambda u: 2.0 * ((2 * math.sin(math.pi * u)) ** -0.5 - 1.0), 0, 1)
     expected = 2 * math.pi * (2 * math.pi * inner_oracle)
@@ -163,8 +168,9 @@ def test_inverse_kernel_identity_positive_alpha_signed_negative():
     # for alpha > 0 the negative tail of the kernel (chords above 1) wins:
     # the inner integral is negative everywhere, the positive-part value
     # is 0 and the signed total is reported
-    rep = boundary.inverse_kernel_energy(circle_map.identity(),
-                                         EnergyParams(2.0, 0.5, 0.0))
+    rep = boundary.evaluate_inverse_kernel(
+        boundary.inverse_kernel_geometries(circle_map.identity()),
+        EnergyParams(2.0, 0.5, 0.0))
     assert rep.value == 0.0
     assert rep.notes["signed_value"] < 0
     assert rep.notes["negative_inner_count"] > 0
@@ -173,7 +179,8 @@ def test_inverse_kernel_identity_positive_alpha_signed_negative():
 def test_inverse_kernel_respects_plateau_inverse():
     # a piecewise-linear map with a strong kink still inverts cleanly
     m = circle_map.piecewise_linear(((0, 0), (0.25, 0.5), (1, 1)))
-    rep = boundary.inverse_kernel_energy(m, EnergyParams(2.0, 0.5, 0.0))
+    rep = boundary.evaluate_inverse_kernel(
+        boundary.inverse_kernel_geometries(m), EnergyParams(2.0, 0.5, 0.0))
     assert np.isfinite(rep.value) and rep.value > 0
 
 
@@ -281,7 +288,8 @@ def test_pair_energy_ignores_slopes_no_pair_has():
     m = circle_map.piecewise_linear(((0, 0), (0.5, 0.4),
                                      (0.5 + 2.0 ** -20, 0.5), (1, 1)))
     params = EnergyParams(80.0, 0.0, 0.0)
-    rep = boundary.gauge_pair_energy(m, params, diagonal_rings=14)
+    rep = boundary.evaluate_gauge_pair(
+        boundary.PairGeometry.build(m, diagonal_rings=14), params)
     np.testing.assert_allclose(
         rep.per_level,
         dense_ring_sums(float_node_pair_build(m, 256, 32, 14), params),
@@ -291,8 +299,9 @@ def test_pair_energy_ignores_slopes_no_pair_has():
 @pytest.mark.parametrize("name", ["identity", "pl_kinked"])
 def test_pair_energy_past_fifteen_rings(fleet, name):
     spec = (256, 32, 16)
-    rep = boundary.gauge_pair_energy(fleet[name], PAIR_POINTS[1],
-                                     diagonal_rings=16)
+    rep = boundary.evaluate_gauge_pair(
+        boundary.PairGeometry.build(fleet[name], diagonal_rings=16),
+        PAIR_POINTS[1])
     assert rep.levels == list(range(1, 17))
     np.testing.assert_allclose(
         rep.per_level,
@@ -305,9 +314,9 @@ def test_pair_energy_at_the_deepest_ring_allowed():
     # (2, 0, 0), and ring j sums to (2 pi)^2 times its measure 2^-j
     # ring 48 puts its pairs on the grid 2^-(48 + log2 4 + 2) = 2^-52
     n_inner, rings = 4, 48
-    rep = boundary.gauge_pair_energy(circle_map.rotation_map(0.3),
-                                     EnergyParams(2.0, 0.0, 0.0),
-                                     diagonal_rings=rings, n_inner=n_inner)
+    geom = boundary.PairGeometry.build(circle_map.rotation_map(0.3),
+                                       diagonal_rings=rings, n_inner=n_inner)
+    rep = boundary.evaluate_gauge_pair(geom, EnergyParams(2.0, 0.0, 0.0))
     np.testing.assert_allclose(
         rep.per_level, 4 * math.pi ** 2 * 2.0 ** -np.arange(1, rings + 1),
         rtol=1e-15)
@@ -339,12 +348,14 @@ def test_energies_are_the_maps_own_on_reused_ids():
     inverse = dict(n_outer=16, nodes_per_ring=4, total_rings=8)
 
     def u(breaks):
-        return boundary.gauge_pair_energy(circle_map.piecewise_linear(breaks),
-                                          params, **pair).value
+        geom = boundary.PairGeometry.build(
+            circle_map.piecewise_linear(breaks), **pair)
+        return boundary.evaluate_gauge_pair(geom, params).value
 
     def v(breaks):
-        return boundary.inverse_kernel_energy(
-            circle_map.piecewise_linear(breaks), params, **inverse).value
+        geoms = boundary.inverse_kernel_geometries(
+            circle_map.piecewise_linear(breaks), **inverse)
+        return boundary.evaluate_inverse_kernel(geoms, params).value
 
     maps = (PL, PL_KINKED)
     want = {b: (u(b), v(b)) for b in maps}

@@ -85,7 +85,7 @@ def test_energy_csv_format(tmp_path):
 def test_energy_deterministic_output(tmp_path):
     argv = ["energy", "--map", "cantor_log:s=2,depth=10", "--p", "1.5",
             "--alpha", "-0.5", "--lambda", "1", "--levels", "10",
-            "--functionals", "e1,e2", "--seed", "7"]
+            "--functionals", "e1,e2"]
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(argv + ["--out", str(f1)]) == 0
     assert main(argv + ["--out", str(f2)]) == 0
@@ -194,7 +194,8 @@ def test_config_values_convert_as_flag_text(tmp_path, cfg, field, want):
 @pytest.mark.parametrize("cfg,message", [
     ({"levels": 2.5}, "config key 'levels': invalid int value: '2.5'"),
     ({"levels": True}, "config key 'levels' needs a string or a number"),
-    ({"seed": [1]}, "config key 'seed' needs a string or a number"),
+    ({"functionals": ["e1"]},
+     "config key 'functionals' needs a string or a number"),
     ({"p": [None]}, "config key 'p' needs a string or a number"),
     ({"alpha": "half"}, "config key 'alpha': invalid float value"),
     ({"format": "xml"}, "config key 'format': invalid choice: 'xml'"),
@@ -282,8 +283,8 @@ def test_each_command_takes_exactly_the_flags_it_reads(command):
 def test_settable_values_per_command():
     parser = build_parser()
     assert {c: len(vars(parser.parse_args([c]))) - 1 for c in COMMANDS} == {
-        "energy": 10, "sweep": 10, "examples": 4, "weights-check": 8,
-        "orlicz-check": 6}
+        "energy": 9, "sweep": 9, "examples": 3, "weights-check": 8,
+        "orlicz-check": 5}
 
 
 @pytest.mark.parametrize("command,flag", NOT_READ)
@@ -421,6 +422,20 @@ def test_weights_check(tmp_path):
     assert payload["ap_estimate"] >= 1.0 - 1e-9
 
 
+def test_weights_check_output_is_fixed_by_its_seed(tmp_path):
+    # the one command that draws random numbers, and the one that reads
+    # --seed
+    argv = ["weights-check", "--p", "2", "--alpha", "0.5", "--lambda", "1",
+            "--trials", "5"]
+    files = {name: tmp_path / f"{name}.json" for name in ("a", "b", "c")}
+    for name, seed in (("a", "0"), ("b", "0"), ("c", "1")):
+        assert main(argv + ["--seed", seed, "--out", str(files[name])]) == 0
+    assert files["a"].read_bytes() == files["b"].read_bytes()
+    a, c = (json.loads(files[name].read_text()) for name in ("a", "c"))
+    assert (a["seed"], c["seed"]) == (0, 1)
+    assert a["ap_estimate"] != c["ap_estimate"]
+
+
 def test_weights_check_rejects_zero_trials(capsys):
     # an estimate over no disks has no value (it printed -Infinity)
     code = main(["weights-check", "--trials", "0"])
@@ -437,6 +452,24 @@ def test_orlicz_check(tmp_path):
     assert payload["monotonicity_violations"] == 0
     assert payload["convexity_violations"] == 0
     assert 0 < payload["breakpoints"]["t1"] < payload["breakpoints"]["t2"]
+
+
+def test_orlicz_check_refuses_a_gauge_past_the_float_range(capsys):
+    # at p = 2, Phi(2e6) = e^711.1 at lambda = 255 and e^1098.9 at 400:
+    # every sampled check would read inf or NaN, so none runs
+    for lam in ("255", "400"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["orlicz-check", "--p", "2", "--lambda", lam])
+        assert code == 1
+        assert "passes the float range" in capsys.readouterr().err
+    # just inside the range every check is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["orlicz-check", "--p", "2", "--lambda", "254.5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert math.isfinite(payload["doubling_sup"])
+    assert payload["convexity_violations"] == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -37,7 +37,8 @@ def test_identity_derivatives(ext_identity):
     hz, hzb = ext_identity.wirtinger(0.4 + 0.1j)
     assert abs(hz - 1.0) < 1e-9
     assert abs(hzb) < 1e-9
-    assert ext_identity.derivative_norm(0.2j) == pytest.approx(1.0, abs=1e-9)
+    hz, hzb = ext_identity.wirtinger(0.2j)
+    assert abs(hz) + abs(hzb) == pytest.approx(1.0, abs=1e-9)
 
 
 def _boundary_samples(boundary, n):
@@ -236,7 +237,8 @@ def test_slice_samples_match_pointwise(ext_pl):
             for cell_idx in (0, 7, 20):
                 theta = 2 * math.pi * (cell_idx + _G4X[gi]) * 2.0 ** -j
                 z = r_nodes[ri] * np.exp(1j * theta)
-                direct = ext_pl.derivative_norm(complex(z))
+                hz, hzb = ext_pl.wirtinger(complex(z))
+                direct = abs(hz) + abs(hzb)
                 # the slice path sums the FFT coefficients of 2^14 boundary
                 # samples while the pointwise path sums the exact ones;
                 # agreement is limited by the aliasing of the FFT grid
