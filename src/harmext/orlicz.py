@@ -210,6 +210,7 @@ class PropertyReport:
 
 # relative tolerance of the second-difference convexity check
 _SECOND_DIFF_TOL = 1e-9
+# log of the largest float, about 709.78
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
