@@ -27,10 +27,11 @@ whose e_m >= j, each gap of step m-1 spans at least two whole cells and
 puts its two children in two of them.  The 2^m cells that hold one gap
 each gain (2^-m + 2^-j)/2, and the other 2^j - 2^m gain 2^-(j+1).
 
-The exact tree of Fractions (``build_tree``) serves ``f_exact`` and
-``certify_modulus``.  ``f_exact`` walks the construction with every
-endpoint scaled by q 2^E (x = P/q) and builds its two Fractions only at
-the end.
+The exact values come from the schedule too.  ``f_exact`` walks the
+construction with every endpoint scaled by q 2^E (x = P/q) and builds its
+two Fractions only at the end.  ``certify_modulus`` walks the first 32
+gaps of each step for its plateau pairs and takes the gap pairs of step n
+as one, since all 2^n span m_n and rise 2^-n.
 """
 
 from __future__ import annotations
@@ -49,12 +50,11 @@ from .errors import (ConstructionError, DepthBudgetError, DomainError)
 
 _FLOAT_MARGIN_BITS = 48   # float tables stop once margins drop below 2^-48
 # finest margin 2^-j a schedule may ask for: it bounds the j-bit counts
-# of a level's increments and the tree's endpoints (j/8 bytes each, 2 MB
-# at the cap).  The examples reach j = 4,095 (power s = 2/3, depth 8) and
-# 2,980 (double_exp p = 2, depth 3); double_exp p = 2 at depth 5 has
-# j = 7.9e13.
+# of a level's increments and the exact endpoints of ``f_exact`` and
+# ``certify_modulus`` (j/8 bytes each, 2 MB at the cap).  The examples
+# reach j = 4,095 (power s = 2/3, depth 8) and 2,980 (double_exp p = 2,
+# depth 3); double_exp p = 2 at depth 5 has j = 7.9e13.
 MAX_MARGIN_EXPONENT = 1 << 24
-MAX_TREE_GAPS = 1 << 17   # 2^(depth+1) gaps; depth 16 takes 4 s and 43 MB
 _FREQ_BLOCK = 1 << 16     # frequencies per pass of the coefficient recursion
 
 
@@ -141,49 +141,17 @@ def build_schedule(kind: str, parameter: float, depth: int) -> RemovalSchedule:
 
 # --------------------------------------------------------------- the tree
 
-@dataclass
+@dataclass(frozen=True)
 class StaircaseTree:
-    """Exact interval bookkeeping of the removal construction.
-
-    ``plateaus[n]`` lists (lo, hi, value) for the 2^(n-1) intervals kept at
-    step n; ``gaps[n]`` lists (lo, hi, f_lo) for the 2^n gaps remaining
-    after step n.  All numbers are Fractions with power-of-two denominators.
-    """
+    """The removal construction, fixed by its schedule alone: every gap
+    left after step n spans m_n and rises 2^-n (see the module notes)."""
 
     schedule: RemovalSchedule
-    plateaus: list
-    gaps: list
 
 
 def build_tree(schedule: RemovalSchedule) -> StaircaseTree:
-    """The exact tree of a schedule; DepthBudgetError, before anything is
-    built, when its 2^(depth+1) gaps pass ``MAX_TREE_GAPS``."""
-    if 1 << (schedule.depth + 1) > MAX_TREE_GAPS:
-        raise DepthBudgetError(
-            f"a tree of depth {schedule.depth} keeps 2^{schedule.depth + 1} "
-            f"gaps, past the budget of {MAX_TREE_GAPS}")
-    gaps = [(Fraction(0), Fraction(1), Fraction(0))]
-    all_plateaus = [[]]   # index 0 unused
-    all_gaps = [list(gaps)]
-    for n in range(1, schedule.depth + 1):
-        m = schedule.margin(n)
-        rise = Fraction(1, 2 ** n)
-        new_plateaus = []
-        new_gaps = []
-        for lo, hi, flo in gaps:
-            a, b = lo + m, hi - m
-            if not (lo < a < b < hi):
-                raise ConstructionError(
-                    f"step {n}: margin {m} does not fit in gap ({lo}, {hi})")
-            value = flo + rise
-            new_plateaus.append((a, b, value))
-            new_gaps.append((lo, a, flo))
-            new_gaps.append((b, hi, value))
-        gaps = new_gaps
-        all_plateaus.append(new_plateaus)
-        all_gaps.append(new_gaps)
-    return StaircaseTree(schedule=schedule, plateaus=all_plateaus,
-                         gaps=all_gaps)
+    # only the benchmark still calls this and StaircaseLift.tree
+    return StaircaseTree(schedule=schedule)
 
 
 def f_exact(tree: StaircaseTree, x: Fraction, max_step: int | None = None):
@@ -207,7 +175,7 @@ def f_exact(tree: StaircaseTree, x: Fraction, max_step: int | None = None):
         raise DomainError(f"max_step must be >= 0, got {max_step}")
     if max_step > depth:
         raise DepthBudgetError(
-            f"tree built to depth {depth}, need {max_step}")
+            f"schedule built to depth {depth}, need {max_step}")
     try:
         x = Fraction(x)
     except (ValueError, OverflowError):
@@ -288,9 +256,9 @@ class StaircaseLift(PiecewiseLinearLift):
         xs, fs = xs[order], fs[order]
         super().__init__(xs, 0.5 * (fs + xs))
 
-    @cached_property
+    @property
     def tree(self) -> StaircaseTree:
-        """The exact tree of the schedule, built when first read."""
+        """The schedule as a ``StaircaseTree``."""
         return build_tree(self.schedule)
 
     @property
@@ -401,9 +369,10 @@ def certify_modulus(tree: StaircaseTree, form: str, exponent: float,
 
     form "log": omega(d) = log(1/d); form "loglog": omega(d) = log log(1/d).
     Pairs: random pairs at log-uniform separations, plus adversarial pairs
-    straddling plateau endpoints at every margin scale of the schedule,
-    plus the ends of every gap of the tree.  The random and plateau pairs
-    are resolved with ``f_exact``; a gap of step n rises by exactly 2^-n.
+    straddling the first 32 plateau endpoints of every step, at its margin
+    scale, plus the ends of every gap left after each step.  The random
+    and plateau pairs are resolved with ``f_exact``; a gap of step n rises
+    by exactly 2^-n.
     """
     if form not in ("log", "loglog"):
         raise DomainError(f"unknown modulus form {form!r}")
@@ -418,22 +387,29 @@ def certify_modulus(tree: StaircaseTree, form: str, exponent: float,
         x = float(rng.uniform(0.0, 1.0 - min(d, 0.5)))
         pairs.append((Fraction(x), Fraction(x) + Fraction(d), None))
 
+    # the first 32 plateaus of step n sit in the first 32 gaps of step
+    # n-1, (lo, lo + w), at (lo + m, lo + w - m)
+    los, w = [Fraction(0)], Fraction(1)
     for n in range(1, sched.depth + 1):
-        h = sched.margin(n) / 2
-        for lo, hi, _v in tree.plateaus[n][:32]:
-            for b in (lo, hi):
+        m = sched.margin(n)
+        h = m / 2
+        for lo in los:
+            for b in (lo + m, lo + w - m):
                 a, c = b - h, b + h
                 if 0 <= a and c <= 1:
                     pairs.append((a, c, None))
+        los = [x for lo in los for x in (lo, lo + w - m)][:32]
+        w = m
 
     # residual-interval spans: the gaps left after step n lie between
     # consecutive plateaus of depth <= n, where the function rises by a
     # full dyadic step over the shortest possible distance, so these pairs
-    # are the extremal candidates at every scale; f(hi) = f(lo) + 2^-n by
-    # construction of the tree
+    # are the extremal candidates at every scale.  All 2^n of them span
+    # m_n and rise 2^-n, so they give one product, and the strict > below
+    # keeps the first, (0, m_n); pairs_checked counts every one
     for n in range(1, sched.depth + 1):
-        rise = 2.0 ** -n
-        pairs.extend((lo, hi, rise) for lo, hi, _f in tree.gaps[n])
+        pairs.append((Fraction(0), sched.margin(n), 2.0 ** -n))
+    unlisted = (1 << (sched.depth + 1)) - 2 - sched.depth
 
     sup = -math.inf
     witness = None
@@ -459,7 +435,7 @@ def certify_modulus(tree: StaircaseTree, form: str, exponent: float,
             sup = prod
             witness = (float(a), float(b), diff, sep)
     return ModulusReport(sup_product=sup, witness=witness,
-                         pairs_checked=len(pairs))
+                         pairs_checked=len(pairs) + unlisted)
 
 
 def gap_rise_partial_sums(schedule: RemovalSchedule, first_block: int,

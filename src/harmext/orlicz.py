@@ -115,6 +115,8 @@ def phi_double_prime(spec: OrliczSpec, t):
 _GRID_TOP = 1e9
 _TAIL_CHECK_TOP = 1e12
 _TAIL_CHECK_POINTS = 240
+# log of the largest float, about 709.78
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _t2_condition(spec: OrliczSpec, t: float) -> bool:
@@ -133,10 +135,21 @@ def resolve_breakpoints(p: float, lam: float) -> OrliczSpec:
     t2: smallest admissible point >= e found on a factor-2 grid and then
     refined by bisection; t1: largest grid point t2 / 2^m satisfying the
     slope chain p t1^(p-1) <= k <= Phi'(t2).
+
+    The tail check samples Phi' up to t = 1e12; DomainError, before any
+    sampling, if its factor t^(p-1) p log(e+t) there passes the float
+    range (from p = 26.45 on), where the check would pass on inf.
     """
     spec = OrliczSpec(p=p, lam=lam)
     if lam >= 0:
         return spec
+    top = _TAIL_CHECK_TOP
+    log_top = (p - 1) * math.log(top) + math.log(p * math.log(_E + top))
+    if log_top >= _LOG_FLOAT_MAX:
+        raise DomainError(
+            f"Phi'({top:g}) has the factor t^(p-1) p log(e+t) = "
+            f"e^{log_top:.1f}, past the float range (e^{_LOG_FLOAT_MAX:.1f}) "
+            f"at p={p}, lambda={lam}")
 
     t = _E
     t2_grid = None
@@ -210,8 +223,6 @@ class PropertyReport:
 
 # relative tolerance of the second-difference convexity check
 _SECOND_DIFF_TOL = 1e-9
-# log of the largest float, about 709.78
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _default_grid(t_max: float, n: int) -> np.ndarray:

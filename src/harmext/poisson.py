@@ -21,12 +21,13 @@ self-similar recursion):
 each cut at K = floor(37 / (1 - |z|_max)) + 1 terms, past which |z|^k is
 below 1e-16.  A point that needs more than 2^20 terms (|z| > 1 - 3.5e-5)
 raises PrecisionError naming its K.  The coefficients for the largest K
-asked so far are kept on the extension; a larger K computes only the new
-frequencies and splices them around the ones held.  Each series is summed
-in blocks of B = ceil(sqrt(K)) terms (``_power_series``): a (points x B)
-table of powers, one matrix product for the block sums and Horner's rule
-in z^B over the blocks, about sqrt(K) array steps in place of K.  The
-tests check h_z and h_zbar against central differences of ``extend``.
+asked so far are kept on the extension; a larger K computes all of them
+again, which gives the same bits for the ones held, since each c_k
+depends on k alone.  Each series is summed in blocks of B = ceil(sqrt(K))
+terms (``_power_series``): a (points x B) table of powers, one matrix
+product for the block sums and Horner's rule in z^B over the blocks,
+about sqrt(K) array steps in place of K.  The tests check h_z and h_zbar
+against central differences of ``extend``.
 
 The weighted Dirichlet-type integrals
 
@@ -312,19 +313,10 @@ class PoissonExtension:
                 f"|z| = {zmax!r} needs K = {K} series terms, over the cap "
                 f"of {_MAX_SERIES_TERMS}")
         cached = self._point_coeffs
-        if cached is None:
+        if cached is None or cached.size < 2 * K + 1:
+            # c_k depends on k alone, so the larger K recomputes them all
             self._point_coeffs = cached = \
                 self.boundary.fourier_coefficients(K)
-        elif cached.size < 2 * K + 1:
-            # only the new frequencies K_old < |k| <= K, spliced around the
-            # c_k already held (each c_k is its own sum over the pieces)
-            K_old = cached.size // 2
-            ks = np.concatenate([np.arange(-K, -K_old),
-                                 np.arange(K_old + 1, K + 1)])
-            new = self.boundary.fourier_coefficients_at(ks)
-            n_side = K - K_old
-            self._point_coeffs = cached = np.concatenate(
-                [new[:n_side], cached, new[n_side:]])
         mid = cached.size // 2
         return cached[mid], cached[mid + 1:mid + K + 1], \
             cached[mid - K:mid][::-1]

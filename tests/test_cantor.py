@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -77,42 +78,78 @@ def test_schedule_refuses_a_nan_parameter(kind):
 
 # ------------------------------------------------------------------ trees
 
+def _fraction_tree(schedule):
+    """The exact interval bookkeeping of the removal construction, as an
+    oracle: ``plateaus[n]`` lists (lo, hi, value) for the 2^(n-1)
+    intervals kept at step n and ``gaps[n]`` (lo, hi, f_lo) for the 2^n
+    gaps left after it, all Fractions, each step's margin checked to fit
+    strictly inside every gap."""
+    gaps = [(Fraction(0), Fraction(1), Fraction(0))]
+    plateaus, all_gaps = [[]], [gaps]   # plateaus[0] unused
+    for n in range(1, schedule.depth + 1):
+        m, rise = schedule.margin(n), Fraction(1, 2 ** n)
+        new_plateaus, new_gaps = [], []
+        for lo, hi, flo in gaps:
+            a, b = lo + m, hi - m
+            assert lo < a < b < hi, (n, lo, hi)
+            new_plateaus.append((a, b, flo + rise))
+            new_gaps += [(lo, a, flo), (b, hi, flo + rise)]
+        gaps = new_gaps
+        plateaus.append(new_plateaus)
+        all_gaps.append(gaps)
+    return SimpleNamespace(schedule=schedule, plateaus=plateaus,
+                           gaps=all_gaps)
+
+
 @pytest.fixture(scope="module")
 def tree_s2():
     return cantor.build_tree(cantor.build_schedule("power", 2.0, 10))
 
 
-def test_first_steps_of_removal(tree_s2):
-    (a, b, v) = tree_s2.plateaus[1][0]
+@pytest.fixture(scope="module")
+def oracle_s2(tree_s2):
+    return _fraction_tree(tree_s2.schedule)
+
+
+def test_tree_holds_its_schedule_alone(tree_s2):
+    sched = cantor.build_schedule("power", 2.0, 10)
+    assert tree_s2 == cantor.build_tree(sched)
+    assert tree_s2.schedule == sched
+    assert cantor.make_staircase_map("power", 2.0, 10).lift.tree == tree_s2
+
+
+def test_first_steps_of_removal(oracle_s2):
+    (a, b, v) = oracle_s2.plateaus[1][0]
     assert (a, b) == (Fraction(1, 4), Fraction(3, 4))
     assert v == Fraction(1, 2)
-    step2 = [(p[0], p[1]) for p in tree_s2.plateaus[2]]
+    step2 = [(p[0], p[1]) for p in oracle_s2.plateaus[2]]
     assert step2 == [(Fraction(1, 16), Fraction(3, 16)),
                      (Fraction(13, 16), Fraction(15, 16))]
 
 
-def test_plateau_values_are_odd_dyadics(tree_s2):
+def test_plateau_values_are_odd_dyadics(oracle_s2):
     for n in range(1, 5):
-        values = [p[2] for p in tree_s2.plateaus[n]]
+        values = [p[2] for p in oracle_s2.plateaus[n]]
         assert values == [Fraction(2 * k - 1, 2 ** n)
                           for k in range(1, 2 ** (n - 1) + 1)]
 
 
-def test_intervals_disjoint_and_bounded(tree_s2):
-    all_iv = [(p[0], p[1]) for n in range(1, 11) for p in tree_s2.plateaus[n]]
+def test_intervals_disjoint_and_bounded(oracle_s2):
+    all_iv = [(p[0], p[1]) for n in range(1, 11)
+              for p in oracle_s2.plateaus[n]]
     all_iv.sort()
     for (a1, b1), (a2, b2) in zip(all_iv[:-1], all_iv[1:]):
         assert b1 <= a2
     assert sum(b - a for a, b in all_iv) < 1
 
 
-def test_interval_length_lower_bound(tree_s2):
-    sch = tree_s2.schedule
+def test_interval_length_lower_bound(oracle_s2):
+    sch = oracle_s2.schedule
     ratios = []
     for n in range(2, sch.depth + 1):
         scale = Fraction(1, 2 ** sch.j[n - 2])
         ratios.extend(float((b - a) / scale) for a, b, _ in
-                      tree_s2.plateaus[n])
+                      oracle_s2.plateaus[n])
     assert min(ratios) > 0.005
 
 
@@ -161,13 +198,13 @@ def _f_exact_fractions(tree, x, max_step):
     return flo + half_range, half_range
 
 
-def test_f_exact_integer_walk_matches_fraction_walk(tree_s2):
+def test_f_exact_integer_walk_matches_fraction_walk(tree_s2, oracle_s2):
     depth = tree_s2.schedule.depth
     rng = np.random.default_rng(11)
     xs = [float(v) for v in rng.uniform(0.0, 1.0, 2000)]
     tiny = Fraction(1, 2 ** 60)
     for n in range(1, 7):
-        for lo, hi, _v in tree_s2.plateaus[n]:
+        for lo, hi, _v in oracle_s2.plateaus[n]:
             xs += [lo, hi, lo - tiny, lo + tiny, hi - tiny, hi + tiny]
     xs += [Fraction(1, 3), Fraction(1, 5), 0, 1]
     for max_step in (0, 1, 5, depth):
@@ -251,9 +288,10 @@ SCHEDULES = (("power", 2.0, 10),) + STAIRCASE_MAPS \
 def _averaged_staircase(lift):
     """t -> 0.5 (f(t) + t), f interpolating the plateaus of the lift's
     first ``float_depth`` steps: g = (f + id)/2 taken term by term."""
+    plateaus = _fraction_tree(lift.schedule).plateaus
     pts = [(0.0, 0.0), (1.0, 1.0)]
     for n in range(1, lift.float_depth + 1):
-        for lo, hi, val in lift.tree.plateaus[n]:
+        for lo, hi, val in plateaus[n]:
             pts += [(float(lo), float(val)), (float(hi), float(val))]
     xs, fs = np.array(sorted(pts)).T
     return lambda t: 0.5 * (np.interp(t, xs, fs) + t)
@@ -278,7 +316,7 @@ def test_level_increments_match_dict_count(spec):
     # pairs are the dict count's cells, at the first 127 levels (or all
     # the schedule reaches) and the top two
     lift = cantor.make_staircase_map(*spec).lift
-    tree = cantor.build_tree(lift.schedule)
+    tree = _fraction_tree(lift.schedule)
     top = lift.schedule.margin_exponent(lift.schedule.depth)
     for j in sorted(set(range(1, min(top, 127) + 1)) | {top - 1, top}):
         inc = lift.level_increments(j)
@@ -319,16 +357,16 @@ def test_coefficients_in_blocks_are_the_one_call_values(size):
     assert got.tobytes() == lift._recursion(ks.astype(float)).tobytes()
 
 
-def test_tree_budget_refuses_a_deep_tree_before_building_it():
-    # depth 24 has j_24 = 4,095, far under the margin cap, but its tree
-    # would keep 2^25 gaps of Fractions; the map itself builds no tree
-    with pytest.raises(DepthBudgetError, match="past the budget"):
-        cantor.build_tree(cantor.build_schedule("power", 2.0, 24))
+def test_modulus_is_certified_at_depth_24():
+    # depth 24 has j_24 = 4,095, far under the margin cap, and 2^25 - 2
+    # gaps, which are counted but never built
     lift = cantor.make_staircase_map("power", 2.0, 24).lift
     assert lift.level_increments(4095).counts == (1 << 24,
                                                   (1 << 4095) - (1 << 24))
-    with pytest.raises(DepthBudgetError, match="past the budget"):
-        lift.tree
+    rep = cantor.certify_modulus(lift.tree, "log", 1.0)
+    # 400 random pairs, 2 * 639 plateau pairs and every gap pair
+    assert rep.pairs_checked == 33_556_108
+    assert rep.sup_product == math.log(2)
 
 
 def test_level_increments_beyond_schedule_raise():
@@ -397,19 +435,39 @@ def _certify_modulus_by_f_exact(tree, form, exponent, n_samples, rng_seed):
 def test_gap_pairs_rise_by_their_dyadic_step(kind, parameter, depth, form):
     # certify_modulus takes each gap pair's rise 2^-n in closed form; the
     # report is the one two f_exact walks per pair give, bit for bit
-    tree = cantor.build_tree(cantor.build_schedule(kind, parameter, depth))
+    sched = cantor.build_schedule(kind, parameter, depth)
+    tree, oracle = cantor.build_tree(sched), _fraction_tree(sched)
     for exponent, seed in ((1.0, 0), (2.0, 5)):
         got = cantor.certify_modulus(tree, form, exponent, rng_seed=seed)
-        want = _certify_modulus_by_f_exact(tree, form, exponent, 400, seed)
+        want = _certify_modulus_by_f_exact(oracle, form, exponent, 400, seed)
         assert got == want, (exponent, seed)
+
+
+@pytest.mark.parametrize("kind,parameter,depth,form,exponent", [
+    ("power", 2.0, 12, "log", 1.0), ("power", 1.5, 10, "log", 1.0),
+    ("power", 2.0, 14, "log", 1.0), ("power", 2.0 / 3.0, 8, "log", 1.0),
+    ("power", 2.0, 10, "log", 2.0),
+    ("power", 4.0 / 3.0, 11, "loglog", 0.5),
+    ("power", 1.0, 10, "loglog", 0.5),
+    ("double_exp", 2.0, 3, "loglog", 0.5)])
+def test_modulus_report_equals_the_exhaustive_oracle(kind, parameter,
+                                                     depth, form, exponent):
+    # certify_modulus walks 32 gaps per step and takes each step's gap
+    # pairs as one; the oracle lists every pair of the Fraction tree
+    sched = cantor.build_schedule(kind, parameter, depth)
+    tree, oracle = cantor.build_tree(sched), _fraction_tree(sched)
+    for seed in (0, 4):
+        got = cantor.certify_modulus(tree, form, exponent, rng_seed=seed)
+        want = _certify_modulus_by_f_exact(oracle, form, exponent, 400, seed)
+        assert got == want, seed
 
 
 @pytest.mark.parametrize("kind,parameter,depth", [
     ("power", 2.0, 12), ("power", 1.5, 10), ("double_exp", 2.0, 3)])
 def test_gaps_are_the_spans_between_sorted_plateaus(kind, parameter, depth):
-    # certify_modulus reads its residual-interval pairs off tree.gaps[n]:
-    # the spans between consecutive plateaus of depth <= n, in order
-    tree = cantor.build_tree(cantor.build_schedule(kind, parameter, depth))
+    # the oracle's gaps[n], whose pairs certify_modulus counts: the spans
+    # between consecutive plateaus of depth <= n, in order
+    tree = _fraction_tree(cantor.build_schedule(kind, parameter, depth))
     merged = []
     for n in range(1, depth + 1):
         merged = sorted(merged + [(lo, hi) for lo, hi, _v

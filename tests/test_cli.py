@@ -61,8 +61,8 @@ def test_energy_identity_json(tmp_path):
     ("piecewise_linear:0,0;0.25,0.5;0.75,0.6;1,1", 23),
     ("cantor_log:s=2,depth=24", 4)])
 def test_energy_levels_need_no_cell_enumeration(desc, levels, tmp_path):
-    # level 23 has 2^23 cells, and the staircase of depth 24 has a tree
-    # of 2^25 gaps; neither is built
+    # level 23 has 2^23 cells, and the staircase of depth 24 has 2^25
+    # gaps; neither is enumerated
     out = tmp_path / "energy.json"
     code = main(["energy", "--map", desc, "--functionals", "e1",
                  "--levels", str(levels), "--out", str(out)])
@@ -470,6 +470,27 @@ def test_orlicz_check_refuses_a_gauge_past_the_float_range(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert math.isfinite(payload["doubling_sup"])
     assert payload["convexity_violations"] == 0
+
+
+def test_orlicz_check_refuses_a_tail_check_past_the_float_range(capsys):
+    # the breakpoint search of a lambda < 0 gauge samples Phi' up to
+    # t = 1e12, where t^(p-1) p log(e+t) passes the float range from
+    # p = 26.45 on, whatever lambda
+    for p, lam in (("26.5", "-0.5"), ("40", "-0.5"), ("26.46", "-10")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["orlicz-check", "--p", p, "--lambda", lam])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Phi'(1e+12)" in err and "past the float range" in err
+        assert f"p={float(p)}, lambda={float(lam)}" in err
+    # just inside the range the search runs without a warning
+    for lam in ("-0.5", "-10"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["orlicz-check", "--p", "26.4", "--lambda", lam]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert 0 < payload["breakpoints"]["t1"] < payload["breakpoints"]["t2"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,7 +16,9 @@ geometry holds a count per (offset, slope) and the image chords of the
 straddling pairs only: the pairs with a breakpoint of the lift, 0 or 1
 between their ends.  The staircase recursion runs over blocks of
 frequencies, so a long frequency vector costs its output and one block's
-arrays.
+arrays.  The modulus certificate of a staircase counts its 2^(depth+1)
+gap pairs without listing them, so depth 24 holds only its random and
+plateau pairs.
 """
 
 import os
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from harmext import boundary, circle_map
-from harmext.cantor import make_staircase_map
+from harmext.cantor import certify_modulus, make_staircase_map
 from harmext.poisson import PoissonExtension
 from harmext.report import EnergyParams
 
@@ -49,6 +51,9 @@ STAIRCASE_GEOMETRY_MB = 8.0
 # the staircase coefficients at k = -2^18..2^18: 8 MB of output, a float
 # copy of k and one block's recursion at a time; in one pass, 48 MB
 STAIRCASE_COEFFS_PEAK_MB = 24.0
+# the certificate at depth 24 peaks near 1.8 MB: it lists 1,702 pairs of
+# Fractions, with denominators up to 2^4096
+MODULUS_DEPTH_24_PEAK_MB = 4.0
 
 
 def _traced_peak_mb(fn):
@@ -131,3 +136,15 @@ def test_staircase_coefficients_run_in_blocks():
     finally:
         tracemalloc.stop()
     assert coeffs_mb <= STAIRCASE_COEFFS_PEAK_MB
+
+
+def test_deep_modulus_certificate_stays_small():
+    lift = make_staircase_map("power", 2.0, 24).lift
+    tracemalloc.start()
+    try:
+        rep, modulus_mb = _traced_peak_mb(
+            lambda: certify_modulus(lift.tree, "log", 1.0))
+    finally:
+        tracemalloc.stop()
+    assert rep.pairs_checked == 33_556_108
+    assert modulus_mb <= MODULUS_DEPTH_24_PEAK_MB

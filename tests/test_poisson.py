@@ -173,9 +173,9 @@ def test_point_values_do_not_depend_on_call_order(fleet):
 
 @pytest.mark.parametrize("name", ["pl_kinked", "staircase_s2"])
 def test_growing_series_keeps_exact_coefficients(fleet, name):
-    # each larger K computes only the new frequencies and splices them
-    # around the c_k already held; the result must be what a fresh
-    # extension computes at the final K in one go
+    # each larger K computes all its c_k again; since c_k depends on k
+    # alone, the result must be what a fresh extension computes at the
+    # final K in one go
     def point_needing(K):
         # K = int(37 / (1 - |z|)) + 1 terms
         return np.array([1.0 - 37.0 / (K - 0.5) + 0j])
