@@ -79,7 +79,6 @@ def kernel_antiderivative(params: EnergyParams, t):
         out = np.where(t_arr < 1.0, math.inf,
                        np.where(t_arr > 1.0, -math.inf, 0.0))
     else:
-        # imported here: scipy is the package's slowest import, V its only user
         from scipy.special import hyp1f1
 
         c = 2.0 + alpha - p
@@ -98,16 +97,11 @@ def kernel_antiderivative(params: EnergyParams, t):
     return float(out) if out.ndim == 0 else out
 
 
-def _kernel_eval(p: float, alpha: float, lam: float,
-                 t: np.ndarray) -> np.ndarray:
-    """A(t), interpolated in log t.
-
-    The nodes are 3000 log-spaced t in [1e-16, 2], and 1.  Inverse chords
-    are floored above 1e-16 by ``InverseGeometry.build``.
-    """
-    ts = np.unique(np.append(np.geomspace(1e-16, 2.0, 3000), 1.0))
-    vals = kernel_antiderivative(EnergyParams(p, alpha, lam), ts)
-    return np.interp(np.log(np.maximum(t, ts[0])), np.log(ts), vals)
+# V interpolates A(t) in log t on these nodes: 3000 log-spaced t in [1e-16,
+# 2], and 1 (sorted in: np.unique would import numpy.ma with the package).
+# Every inverse chord is at least chord(2^-50) = 5.6e-15, inside them.
+_KERNEL_NODES = np.sort(np.append(np.geomspace(1e-16, 2.0, 3000), 1.0))
+_KERNEL_LOG_NODES = np.log(_KERNEL_NODES)
 
 
 # ---------------------------------------------------------- ring geometry
@@ -142,6 +136,12 @@ def _straddling(x: np.ndarray, d: np.ndarray, xs: np.ndarray) -> tuple:
                      lengths)
     node += np.arange(node.size)
     return node, lengths.reshape(d.size, -1).sum(axis=1)
+
+
+def _ring_offsets(j: int, n: int) -> np.ndarray:
+    """The n positive offsets 2^-(j+1) (1 + (m + 1/2)/n), m < n, of ring j."""
+    band = 2.0 ** -(j + 1)
+    return band + (np.arange(n) + 0.5) * band / n
 
 
 # ring j puts its pairs on the grid 2^-(j + log2 n_inner + 2), and a node
@@ -205,8 +205,7 @@ class PairGeometry:
             # fine structure (staircases) are aliased
             n_out = min(max(n_outer, 8 << j), 1 << 15)
             x = (np.arange(n_out) + 0.5) / n_out
-            band = 2.0 ** -(j + 1)
-            d = band + (np.arange(n_inner) + 0.5) * band / n_inner
+            d = _ring_offsets(j, n_inner)
             d = np.concatenate([d, -d])
             node, per_offset = _straddling(x, d, xs)
             offset = np.repeat(np.arange(d.size), per_offset)
@@ -242,7 +241,7 @@ class PairGeometry:
             geom.slope_counts.append(counts)
             geom.straddle_chords.append(_chord(du))
             geom.straddle_counts.append(per_offset)
-            geom.weights.append(band / n_inner / n_out)
+            geom.weights.append(2.0 ** -(j + 1) / n_inner / n_out)
         return geom
 
 
@@ -288,24 +287,18 @@ class InverseGeometry:
     """Inverse-image chords for the V-energy quadrature (map-only stage)."""
 
     description: str          # the map's description
-    inv_chords: np.ndarray    # (n_outer, n_offsets)
+    log_chords: np.ndarray    # log of the inverse chords: (n_outer, n_offsets)
     offset_weights: np.ndarray
 
     @classmethod
     def build(cls, circle_map: CircleMap, n_outer: int, nodes_per_ring: int,
               total_rings: int) -> "InverseGeometry":
         x = (np.arange(n_outer) + 0.5) / n_outer
-        offs = []
-        wts = []
-        for r in range(1, total_rings + 1):
-            lo = 2.0 ** -(r + 1)
-            width = 2.0 ** -(r + 1)
-            mid = lo + (np.arange(nodes_per_ring) + 0.5) * width / nodes_per_ring
-            offs.extend(mid)
-            offs.extend(-mid)
-            wts.extend([width / nodes_per_ring] * (2 * nodes_per_ring))
-        offs = np.asarray(offs)
-        wts = np.asarray(wts)
+        rings = range(1, total_rings + 1)
+        mids = [_ring_offsets(r, nodes_per_ring) for r in rings]
+        offs = np.concatenate([o for mid in mids for o in (mid, -mid)])
+        wts = np.repeat([2.0 ** -(r + 1) / nodes_per_ring for r in rings],
+                        2 * nodes_per_ring)
         winv_x = circle_map.invert(x)
         args = (x[:, None] + offs[None, :]) % 1.0
         winv_y = circle_map.invert(args.ravel()).reshape(args.shape)
@@ -318,7 +311,8 @@ class InverseGeometry:
         # 0 chord would make the kernel report a spurious divergence;
         # floor at 2^-50, below 2^-49, the finest grid ``invert`` uses
         d = np.maximum(d, 2.0 ** -50)
-        return cls(description=circle_map.description, inv_chords=_chord(d),
+        return cls(description=circle_map.description,
+                   log_chords=np.log(_chord(d)),
                    offset_weights=wts)
 
 
@@ -347,8 +341,9 @@ def evaluate_inverse_kernel(geometries: tuple,
                             levels=[0], per_level=np.array([math.inf]),
                             value=math.inf, classification="diverging",
                             notes={"map": fine.description})
-    value, inner, notes = _v_value(fine, params)
-    coarse_value, _, _ = _v_value(coarse, params)
+    A = kernel_antiderivative(params, _KERNEL_NODES)
+    value, inner, notes = _v_value(fine, params.p, A)
+    coarse_value, _, _ = _v_value(coarse, params.p, A)
     notes["coarse_value"] = coarse_value
     classification = "inconclusive"
     denom = max(abs(value), 1e-12)
@@ -366,9 +361,9 @@ def evaluate_inverse_kernel(geometries: tuple,
     return rep
 
 
-def _v_value(geom: InverseGeometry, params: EnergyParams):
-    p, alpha, lam = params.p, params.alpha, params.lam
-    A = _kernel_eval(p, alpha, lam, geom.inv_chords)
+def _v_value(geom: InverseGeometry, p: float, kernel: np.ndarray):
+    """V from one geometry, with A given on ``_KERNEL_NODES``."""
+    A = np.interp(geom.log_chords, _KERNEL_LOG_NODES, kernel)
     two_pi = 2.0 * math.pi
     inner = two_pi * np.sum(A * geom.offset_weights[None, :], axis=1)
     neg = inner < 0

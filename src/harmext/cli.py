@@ -42,6 +42,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 import numpy as np
@@ -54,8 +55,9 @@ from .poisson import PoissonExtension
 from .report import SCHEMA_VERSION, EnergyParams
 from .weights import WeightSpec, estimate_ap_constant, jones_factors, weight
 
-# The disk and pair functionals sample at most this many levels / rings.
-MAX_SAMPLED_LEVELS = 14
+# The pair stage (``u``) builds at most this many rings, whatever --levels
+# asks; the disk stage's levels are capped by ``poisson`` alone.
+MAX_PAIR_RINGS = 14
 
 # Every command computes in two stages.  A stage holds the map-only data
 # of some functionals and is built at most once per command, when a
@@ -64,7 +66,7 @@ STAGES = {
     "map": lambda m, levels: m,
     "poisson": lambda m, levels: PoissonExtension(m),
     "pair": lambda m, levels: boundary.PairGeometry.build(
-        m, diagonal_rings=min(levels, MAX_SAMPLED_LEVELS)),
+        m, diagonal_rings=min(levels, MAX_PAIR_RINGS)),
     "inverse": lambda m, levels: boundary.inverse_kernel_geometries(m),
 }
 
@@ -76,11 +78,9 @@ FUNCTIONALS = {
     "e2": ("map", lambda m, params, levels:
            discrete.gauge_ratio_energy(m, params, levels)),
     "i1": ("poisson", lambda ext, params, levels:
-           ext.kernel_weight_integral(params,
-                                      min(levels, MAX_SAMPLED_LEVELS))),
+           ext.kernel_weight_integral(params, levels)),
     "i2": ("poisson", lambda ext, params, levels:
-           ext.kernel_gauge_integral(params,
-                                     min(levels, MAX_SAMPLED_LEVELS))),
+           ext.kernel_gauge_integral(params, levels)),
     "u": ("pair", lambda geom, params, levels:
           boundary.evaluate_gauge_pair(geom, params)),
     "v": ("inverse", lambda geoms, params, levels:
@@ -385,7 +385,13 @@ COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as a LabError, so that it exits 1."""
+    """Reports a usage error as a LabError, so that it exits 1, and reads
+    ``-1e-1`` as a negative number, as argparse reads -1 and -0.1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -136,18 +136,22 @@ def resolve_breakpoints(p: float, lam: float) -> OrliczSpec:
     refined by bisection; t1: largest grid point t2 / 2^m satisfying the
     slope chain p t1^(p-1) <= k <= Phi'(t2).
 
-    The tail check samples Phi' up to t = 1e12; DomainError, before any
-    sampling, if its factor t^(p-1) p log(e+t) there passes the float
-    range (from p = 26.45 on), where the check would pass on inf.
+    The tail check samples Phi' and Phi'' up to t = 1e12; DomainError,
+    before any sampling, if a factor of theirs there passes the float
+    range (t^(p-1) p log(e+t) from p = 26.45 on, or a huge -lambda).
     """
     spec = OrliczSpec(p=p, lam=lam)
     if lam >= 0:
         return spec
     top = _TAIL_CHECK_TOP
-    log_top = (p - 1) * math.log(top) + math.log(p * math.log(_E + top))
+    # Phi'(t) has the factor (pL + lam q) t^(p-1) <= max(pL, -lam) t^(p-1),
+    # Phi''(t) a bracket <= 2 (pL - lam)^2; L = log(e+t), q = t/(e+t) < 1
+    pL, log_t = p * math.log(_E + top), math.log(top)
+    log_top = max(math.log(max(pL, -lam)) + (p - 1) * log_t,
+                  2 * math.log(pL - lam) + math.log(2) + max(p - 2, 0) * log_t)
     if log_top >= _LOG_FLOAT_MAX:
         raise DomainError(
-            f"Phi'({top:g}) has the factor t^(p-1) p log(e+t) = "
+            f"Phi'({top:g}) and Phi''({top:g}) form factors up to "
             f"e^{log_top:.1f}, past the float range (e^{_LOG_FLOAT_MAX:.1f}) "
             f"at p={p}, lambda={lam}")
 

@@ -44,37 +44,34 @@ angle 2 pi 2^-j and pairs the k-th arc with the polar rectangle
 so the cells of levels 1..J tile the disk minus a boundary annulus of
 width 2^-J (the level-1 cells reach down to r = 0).
 
-For the bulk sampling the harmonic series
-h_z = sum k c_k z^(k-1), h_zbar = sum k c_{-k} zbar^(k-1) (c_k the FFT
-coefficients of the boundary samples) is evaluated on radial slices by
-index folding -- exactly the trapezoid kernel quadrature, resummed, which
-keeps level J ~ 16 affordable.  Each Gauss radius of a level writes its
-damped series once into a zero-padded (rows x 2^j) buffer and folds it
-for all four angular offsets, adding the rows one at a time, with one FFT
-over the stack of four; the column phases of the offsets are computed
-once per level and shared by its four radii.  A radius is cut at 2^21
-series terms, and a level whose first dropped power r^n exceeds 1e-14
-(every level past 16) raises PrecisionError before any grid is built.
-The samples of levels 1..J are one build (``level_samples(J)``), cached
-per J: a ``PoissonExtension`` is the map-only stage of I1 and I2, built
-once per ``energy`` or ``sweep`` command (``cli.STAGES``) and evaluated at
-every parameter point.  Radius r folds the FFT coefficients of m(r)
-boundary samples e^{2 pi i eval(k/m)}, m(r) >= 2^14 the least power of
-two that holds twice its series length (2^21 at level 14's outermost
-radius).  A build transforms only the largest grid, in place, by Bailey's
-four-step FFT (J. Supercomputing 4, 1990; ``_coefficient_grid``): four
-FFTs of the samples k = 4t + r, each a quarter of the grid, so pocketfft's
-work buffers are a quarter of what one FFT of the whole grid takes, then
-one pass over chunks of columns that twiddles them and takes a 4-point
-DFT across the rows, leaving c_0..c_(m-1) in natural order.  It walks the
-radii from the outside in, so m(r) never grows; before each radius that
-needs fewer samples it halves the grid in place by the trapezoid aliasing
-identity c^(m/2)_k = c^(m)_k + c^(m)_(k+m/2) (``_alias_half``; Trefethen
-& Weideman, SIAM Rev. 56, 2014).  The grid differs from a single FFT of
-the same samples by rounding only (at most 2.3e-16 for m = 2^14..2^22 on
-the tested maps), and so does a halved grid from the FFT of its own
-samples.  The samples depend on (map, J) alone, and the extension holds
-no grid afterwards.
+For the bulk sampling the harmonic series h_z = sum k c_k z^(k-1),
+h_zbar = sum k c_{-k} zbar^(k-1) (c_k the FFT coefficients of the boundary
+samples) is evaluated on radial slices by index folding -- exactly the
+trapezoid kernel quadrature, resummed, which keeps level J ~ 16
+affordable.  Each Gauss radius of a level folds its damped series for all
+four angular offsets, reading it one row of 2^j terms at a time into one
+row buffer (the last row zero-padded) and adding the rows in order, with
+one FFT over the stack of four; the column phases of the offsets are
+computed once per level and shared by its four radii.  A radius is cut at
+2^21 series terms, and a level whose first dropped power r^n exceeds 1e-14
+(every level past 16) raises PrecisionError before any grid is built.  The
+samples of levels 1..J are one build (``level_samples(J)``), cached per J:
+a ``PoissonExtension`` is the map-only stage of I1 and I2, built once per
+``energy`` or ``sweep`` command (``cli.STAGES``) and evaluated at every
+parameter point.  Radius r folds the FFT coefficients of m(r) boundary
+samples e^{2 pi i eval(k/m)}, m(r) >= 2^14 the least power of two that
+holds twice its series length (2^21 at level 14's outermost radius).  A
+build transforms only the largest grid, in place, by Bailey's four-step
+FFT (J. Supercomputing 4, 1990; ``_coefficient_grid``), so pocketfft's
+work buffers are a quarter of what one FFT of the whole grid takes.  It
+walks the radii from the outside in, so m(r) never grows; before each
+radius that needs fewer samples it halves the grid in place by the
+trapezoid aliasing identity c^(m/2)_k = c^(m)_k + c^(m)_(k+m/2)
+(``_alias_half``; Trefethen & Weideman, SIAM Rev. 56, 2014).  The grid
+differs from a single FFT of the same samples by rounding only (at most
+2.3e-16 for m = 2^14..2^22 on the tested maps), and so does a halved grid
+from the FFT of its own samples.  The samples depend on (map, J) alone,
+and the extension holds no grid afterwards.
 """
 
 from __future__ import annotations
@@ -162,23 +159,22 @@ def _slice_derivatives(coeffs: np.ndarray, r: float, j: int, offsets,
     damp = np.arange(n_terms) * math.log(r)
     np.exp(damp, out=damp)
     damp *= np.arange(1, n_terms + 1)
-    # the series vec[m], m = k-1 = 0..n_terms-1, zero-padded to whole
-    # rows of C: h_z takes coeffs[k], h_zbar coeffs[M - k], k = 1..n_terms,
-    # as slices (n_terms <= M/2, so neither wraps)
-    rows = np.zeros((-(-n_terms // C), C), dtype=complex)
-    series = rows.reshape(-1)[:n_terms]
-    row_index = np.arange(rows.shape[0])
+    row_index = np.arange(-(-n_terms // C))
+    row = np.empty(C, dtype=complex)
     term = np.empty((len(offsets), C), dtype=complex)
 
-    def fold(sign):
-        # value_l = sum_m vec[m] * e^(sign * 2 pi i m (l+g)/C); the rows
-        # are added one at a time, in the order .sum(axis=0) adds them
-        # (a matrix product over the rows would round differently)
+    def fold(sign, series):
+        # value_l = sum_m series[m] damp[m] e^(sign 2 pi i m (l+g)/C), one
+        # row of C terms at a time (the last zero-padded), added in order:
+        # a matrix product over the rows would round differently
         row_phase = np.stack([np.exp(sign * 2j * np.pi * g * row_index)
                               for g in offsets])
-        folded = np.multiply(rows[0], row_phase[:, :1])
-        for q in range(1, rows.shape[0]):
-            np.multiply(rows[q], row_phase[:, q:q + 1], out=term)
+        folded = np.zeros_like(term)
+        for q in range(row_index.size):
+            part = series[q * C:(q + 1) * C]
+            np.multiply(part, damp[q * C:(q + 1) * C], out=row[:part.size])
+            row[part.size:] = 0.0
+            np.multiply(row, row_phase[:, q:q + 1], out=term)
             folded += term
         folded *= col_phases[sign]
         # C is a power of two, so skipping ifft's 1/C is exact
@@ -186,10 +182,10 @@ def _slice_derivatives(coeffs: np.ndarray, r: float, j: int, offsets,
             return np.fft.ifft(folded, axis=1, norm="forward")
         return np.fft.fft(folded, axis=1)
 
-    np.multiply(coeffs[1:n_terms + 1], damp, out=series)
-    hz = fold(+1)
-    np.multiply(coeffs[M - n_terms:][::-1], damp, out=series)
-    return hz, fold(-1)
+    # h_z takes coeffs[k], h_zbar coeffs[M - k], k = 1..n_terms, as
+    # slices (n_terms <= M/2, so neither wraps)
+    return fold(+1, coeffs[1:n_terms + 1]), \
+        fold(-1, coeffs[M - n_terms:][::-1])
 
 
 def _exp_turns(turns: np.ndarray) -> np.ndarray:
@@ -355,8 +351,6 @@ class PoissonExtension:
         angular_weight) for level j, where dh has shape (4, 4, 2^j): radial
         node x angular offset x cell.  Raises PrecisionError, before any
         grid is built, for a J the series cap would cut (every J past 16).
-        The coefficients of the outermost radius's grid come from
-        ``_coefficient_grid``, and every smaller grid is halved from them.
         """
         if max_level < 1:
             raise DomainError(f"level must be >= 1, got {max_level}")

@@ -93,7 +93,10 @@ def test_kernel_interpolation_table_accuracy():
     params = EnergyParams(1.5, -0.4, 1.0)
     rng = np.random.default_rng(2)
     ts = np.exp(rng.uniform(math.log(1e-12), math.log(1.9), 40))
-    interp = boundary._kernel_eval(params.p, params.alpha, params.lam, ts)
+    # V's table: A on the kernel nodes, interpolated in log t
+    interp = np.interp(np.log(ts), boundary._KERNEL_LOG_NODES,
+                       boundary.kernel_antiderivative(
+                           params, boundary._KERNEL_NODES))
     exact = np.array([boundary.kernel_antiderivative(params, float(t))
                       for t in ts])
     np.testing.assert_allclose(interp, exact,

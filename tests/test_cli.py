@@ -72,6 +72,36 @@ def test_energy_levels_need_no_cell_enumeration(desc, levels, tmp_path):
     assert all(math.isfinite(v) and v > 0 for v in rep["per_level"])
 
 
+def test_disk_integrals_take_levels_up_to_sixteen(tmp_path):
+    # i1/i2 sum the levels asked for; the identity's i1 at (2, 0, 0) is pi
+    # on the whole disk, and levels 1..16 come within 1e-4 of it
+    out = tmp_path / "energy.json"
+    code = main(["energy", "--functionals", "i1,i2", "--p", "2",
+                 "--levels", "16", "--out", str(out)])
+    assert code == 0
+    reports = json.loads(out.read_text())["reports"]
+    assert [r["levels"] for r in reports] == [list(range(1, 17))] * 2
+    assert abs(reports[0]["value"] - math.pi) < 1e-4
+
+
+def test_disk_integrals_past_sixteen_levels_exit_1(capsys):
+    code = main(["energy", "--functionals", "e1,i1", "--levels", "17"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "error: level 17 needs" in captured.err and not captured.out
+
+
+def test_pair_energy_keeps_its_ring_cap_past_sixteen_levels(tmp_path):
+    # u is built on at most 14 rings, whatever --levels asks; e1 takes all
+    out = tmp_path / "energy.json"
+    code = main(["energy", "--functionals", "e1,u", "--levels", "17",
+                 "--out", str(out)])
+    assert code == 0
+    e1, u = json.loads(out.read_text())["reports"]
+    assert e1["levels"] == list(range(1, 18))
+    assert u["levels"] == list(range(1, 15))
+
+
 def test_energy_csv_format(tmp_path):
     out = tmp_path / "energy.csv"
     code = main(["energy", "--map", "piecewise_linear:0,0;0.5,0.25;1,1",
@@ -317,6 +347,23 @@ def test_usage_errors_exit_1(argv, message, capsys):
     assert f"error: {message}" in err and "usage: harmext-lab" in err
 
 
+@pytest.mark.parametrize("argv,dest,value", [
+    (["energy", "--functionals", "e1", "--alpha", "-1e-1"], "alpha", -0.1),
+    (["energy", "--functionals", "e1", "--lambda", "-5E-1"], "lambda", -0.5),
+    (["sweep", "--functionals", "e1", "--lambda", "-.5e+0", "--lambda",
+      "1"], "lambda", -0.5),
+])
+def test_negative_values_in_scientific_notation_follow_their_flag(
+        argv, dest, value, capsys):
+    # argparse alone reads only -d and -d.d as negative numbers, and took
+    # -1e-1 for a flag: "expected one argument"
+    assert main(argv + ["--levels", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    first = payload["reports"][0] if "reports" in payload \
+        else payload["grid"][0]
+    assert first[dest] == value
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["energy", "--help"])
@@ -491,6 +538,20 @@ def test_orlicz_check_refuses_a_tail_check_past_the_float_range(capsys):
             assert main(["orlicz-check", "--p", "26.4", "--lambda", lam]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert 0 < payload["breakpoints"]["t1"] < payload["breakpoints"]["t2"]
+
+
+def test_orlicz_check_refuses_a_huge_negative_lambda(capsys):
+    # lambda t and lambda^2 at t = 1e12 pass the float range in Phi' and
+    # Phi'' before t^(p-1) p log(e+t) does; these overflowed before they
+    # exited 1
+    for p, lam in (("26.44", "-3e7"), ("26", "-1e15"), ("2", "-1e300")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["orlicz-check", f"--p={p}", f"--lambda={lam}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Phi'(1e+12)" in err and "past the float range" in err
+        assert f"p={float(p)}, lambda={float(lam)}" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,22 +3,23 @@ staircase Fourier coefficients.
 
 tracemalloc counts numpy's buffers as they are allocated, so the peak of
 one step is the same from run to run, unlike the resident set size.  The
-|Dh| stage to level 14 builds one grid of 2^21 FFT coefficients (32 MB)
-in place from four quarter FFTs and halves it in place for the smaller
-radii; it peaks in the fold of level 14's outermost radius, whose damped
-series and padded rows add about 20 MB to the grid.  Afterwards the
-extension holds only the samples, about 4 MB.  pocketfft's work buffers
-are invisible to tracemalloc, so the stage's high-water mark of resident
-memory is checked in a fresh process: each quarter FFT's buffers take
-about 8 MB, where one FFT of the whole grid took 64 MB.  The pair stage
-is measured after the |Dh| stage, as in an ``energy`` command.  The pair
-geometry holds a count per (offset, slope) and the image chords of the
-straddling pairs only: the pairs with a breakpoint of the lift, 0 or 1
-between their ends.  The staircase recursion runs over blocks of
-frequencies, so a long frequency vector costs its output and one block's
-arrays.  The modulus certificate of a staircase counts its 2^(depth+1)
-gap pairs without listing them, so depth 24 holds only its random and
-plateau pairs.
+|Dh| stage to level 14 builds one grid of 2^21 FFT coefficients (32 MB) in
+place from four quarter FFTs and halves it in place for the smaller radii;
+it peaks in the fold of level 14's outermost radius, whose damping factors
+with their index temporaries and the fold's (4 x 2^14) buffers add about
+14 MB to the grid; the series is read one row at a time.  Afterwards the
+extension holds only the samples, about 4 MB.  To level 16 the grid is 2^22
+coefficients (64 MB).  pocketfft's work buffers are invisible to
+tracemalloc, so the stage's high-water mark of resident memory is checked
+in a fresh process: each quarter FFT's buffers take about 8 MB, where one
+FFT of the whole grid took 64 MB.  The pair stage is measured after the
+|Dh| stage, as in an ``energy`` command.  The pair geometry holds a count
+per (offset, slope) and the image chords of the straddling pairs only: the
+pairs with a breakpoint of the lift, 0 or 1 between their ends.  The
+staircase recursion runs over blocks of frequencies, so a long frequency
+vector costs its output and one block's arrays.  The modulus certificate of
+a staircase counts its 2^(depth+1) gap pairs without listing them, so
+depth 24 holds only its random and plateau pairs.
 """
 
 import os
@@ -36,8 +37,11 @@ from harmext.report import EnergyParams
 
 PL_KINKED = ((0.0, 0.0), (0.25, 0.5), (0.75, 0.6), (1.0, 1.0))
 
-# levels 1..14 of pl_kinked peak at 53.3 MB and hold 4.1 MB afterwards
-DH_STAGE_PEAK_MB = 60.0
+# levels 1..14 of pl_kinked peak at 46.0 MB and hold 4.1 MB afterwards;
+# a zero-padded complex copy of the damped series took the peak to 53.3 MB
+DH_STAGE_PEAK_MB = 50.0
+# levels 1..16 peak at 119.5 MB; with the padded copy, at 146.5 MB
+DH_STAGE_16_PEAK_MB = 128.0
 DH_STAGE_HELD_MB = 8.0
 # a fresh process that builds them peaks at 85 MB resident, 30 MB of it
 # the interpreter and numpy; one FFT of the whole grid took it to 145 MB
@@ -75,6 +79,16 @@ def test_dh_stage_peak_stays_bounded():
     assert stage_mb <= DH_STAGE_PEAK_MB
     # the samples themselves, 16 (2 + 4 + ... + 2^14) floats: no grid
     assert held_mb <= DH_STAGE_HELD_MB
+
+
+def test_dh_stage_peak_stays_bounded_at_sixteen_levels():
+    ext = PoissonExtension(circle_map.piecewise_linear(PL_KINKED))
+    tracemalloc.start()
+    try:
+        _, stage_mb = _traced_peak_mb(lambda: ext.level_samples(16))
+    finally:
+        tracemalloc.stop()
+    assert stage_mb <= DH_STAGE_16_PEAK_MB
 
 
 # the child reads VmHWM, the peak resident set of its own address space:

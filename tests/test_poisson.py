@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from harmext import circle_map
+from harmext import circle_map, poisson
 from harmext.errors import DomainError, PrecisionError
 from harmext.poisson import (_G4X, _JOIN_CHUNK, PoissonExtension,
                              _alias_half, _coefficient_grid, _power_series)
@@ -427,6 +427,54 @@ def test_shallow_samples_are_one_grid_per_radius_bit_for_bit(fleet, name):
     for J in range(1, 8):
         for j, (dh, r_nodes, _, _) in enumerate(ext.level_samples(J), 1):
             assert np.array_equal(dh, ref.dh(j, r_nodes)), (J, j)
+
+
+def _padded_fold(coeffs, r, j, offsets, col_phases):
+    """``poisson._slice_derivatives`` as it was with its padded buffer: the
+    damped series written once into zero-padded (rows x 2^j) rows, and
+    the fold started from the first row."""
+    C = 1 << j
+    M = coeffs.size
+    n_terms = max(min(poisson._series_terms(r), M // 2), 1)
+    damp = np.arange(n_terms) * math.log(r)
+    np.exp(damp, out=damp)
+    damp *= np.arange(1, n_terms + 1)
+    rows = np.zeros((-(-n_terms // C), C), dtype=complex)
+    series = rows.reshape(-1)[:n_terms]
+    row_index = np.arange(rows.shape[0])
+    term = np.empty((len(offsets), C), dtype=complex)
+
+    def fold(sign):
+        row_phase = np.stack([np.exp(sign * 2j * np.pi * g * row_index)
+                              for g in offsets])
+        folded = np.multiply(rows[0], row_phase[:, :1])
+        for q in range(1, rows.shape[0]):
+            np.multiply(rows[q], row_phase[:, q:q + 1], out=term)
+            folded += term
+        folded *= col_phases[sign]
+        if sign > 0:
+            return np.fft.ifft(folded, axis=1, norm="forward")
+        return np.fft.fft(folded, axis=1)
+
+    np.multiply(coeffs[1:n_terms + 1], damp, out=series)
+    hz = fold(+1)
+    np.multiply(coeffs[M - n_terms:][::-1], damp, out=series)
+    return hz, fold(-1)
+
+
+@pytest.mark.parametrize("name,J", [
+    ("identity", 14), ("rotation", 14), ("pl_mild", 14), ("pl_kinked", 14),
+    ("staircase_s2", 14), ("pl_kinked", 16)])
+def test_row_by_row_fold_is_the_padded_fold_bit_for_bit(
+        fleet, poisson_fleet, monkeypatch, name, J):
+    # reading the damped series one row at a time, into one row buffer,
+    # and starting the fold from zeros change no bit of |Dh|
+    got = poisson_fleet(name).level_samples(J) if J == 14 else \
+        PoissonExtension(fleet[name]).level_samples(J)
+    monkeypatch.setattr(poisson, "_slice_derivatives", _padded_fold)
+    ref = PoissonExtension(fleet[name]).level_samples(J)
+    for j, (a, b) in enumerate(zip(got, ref), 1):
+        assert np.array_equal(a[0], b[0]), j
 
 
 def test_levels_the_series_cap_would_cut_raise_before_sampling():
