@@ -149,6 +149,9 @@ def _ring_offsets(j: int, n: int) -> np.ndarray:
 # than 2^-52
 _FINEST_GRID = 52
 
+# inverse targets per block of ``InverseGeometry.build``
+_INVERSE_BLOCK = 1 << 15
+
 
 @dataclass
 class PairGeometry:
@@ -300,19 +303,26 @@ class InverseGeometry:
         wts = np.repeat([2.0 ** -(r + 1) / nodes_per_ring for r in rings],
                         2 * nodes_per_ring)
         winv_x = circle_map.invert(x)
-        args = (x[:, None] + offs[None, :]) % 1.0
-        winv_y = circle_map.invert(args.ravel()).reshape(args.shape)
-        d = np.abs(winv_y - winv_x[:, None])
-        d = np.minimum(d, 1.0 - d)
+        # the targets x + offset are inverted a block of outer nodes at a
+        # time, about _INVERSE_BLOCK of them, so the stage holds d and one
+        # block's temporaries; ``invert`` solves each target on its own,
+        # so the blocks change no bit
+        d = np.empty((n_outer, offs.size))
+        rows = max(1, _INVERSE_BLOCK // offs.size)
+        for lo in range(0, n_outer, rows):
+            block = slice(lo, lo + rows)
+            dist = np.abs(circle_map.invert((x[block, None] + offs) % 1.0)
+                          - winv_x[block, None])
+            np.minimum(dist, 1.0 - dist, out=d[block])
         # distinct offsets always have distinct preimages, but ``invert``
         # resolves them only to its grid k 2^-n: two targets closer than
         # that can land on one grid point (on the staircase, whose tol
         # gives a 2^-19 grid, every chord floored at 28 rings does) and a
         # 0 chord would make the kernel report a spurious divergence;
         # floor at 2^-50, below 2^-49, the finest grid ``invert`` uses
-        d = np.maximum(d, 2.0 ** -50)
+        np.maximum(d, 2.0 ** -50, out=d)
         return cls(description=circle_map.description,
-                   log_chords=np.log(_chord(d)),
+                   log_chords=np.log(_chord(d), out=d),
                    offset_weights=wts)
 
 

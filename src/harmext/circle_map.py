@@ -19,16 +19,18 @@ e^(2 pi i rho).
 Inversion solves on a dyadic grid k 2^-n, n = ceil(-log2 tol) + 2, with
 the one tolerance tol = max(eval_tolerance 1e-2, 1e-14), so the grid is
 2^-49 at its finest: each side of the preimage is the smallest grid point
-whose value reaches the target, which is what n bisection steps over
-[0, 1] return.  It is read off the breakpoints (the piece holding the
-target gives the seed) and settled by a few unit steps of k; a target
-the steps do not settle (a nearly flat piece rounds many grid points to
-one value) is bisected.  When the requested value sits on a plateau the
-midpoint of the plateau is returned, so ``invert`` is a genuine monotone
-right inverse even for degenerate maps.  The lift is continuous from 0
-to 1, so every finite target has a preimage and none is refused; on a
-piece steeper than the grid resolves, the result lies within one grid
-step of the preimage.
+whose value reaches the target (>= on the left side, > on the right),
+which is what n bisection steps over [0, 1] return.  It is read off the
+breakpoints (the piece holding the target gives the seed) and settled by
+a few unit steps of k; a target the steps do not settle (a nearly flat
+piece rounds many grid points to one value) is bisected.  The two sides
+differ only where the left one's value is the target itself, so the
+right side is searched only there.  When the requested value sits on a
+plateau the midpoint of the plateau is returned, so ``invert`` is a
+genuine monotone right inverse even for degenerate maps.  The lift is
+continuous from 0 to 1, so every finite target has a preimage and none
+is refused; on a piece steeper than the grid resolves, the result lies
+within one grid step of the preimage.
 
 The map keeps no table of its values: the |Dh| stage reads it once per
 build, at the dyadic points k 2^-e of its largest grid, a quarter of them
@@ -304,16 +306,24 @@ class CircleMap:
 
         Returns t in [0,1) with eval(t) = y (mod 1), solved to the grid of
         tol = max(eval_tolerance 1e-2, 1e-14).  If y falls on a plateau of
-        the lift the midpoint of the plateau is returned.
+        the lift the midpoint of the plateau is returned.  The two sides
+        are the smallest grid points with u >= target and with u > target;
+        they differ only where the first lands on the target itself, so
+        the strict side is searched for those targets alone.
         """
         tol = max(self.eval_tolerance * 1e-2, 1e-14)
         arr, scalar = _as_array(y)
         _check_finite(arr, "invert")
         target = _mod_one(arr - self.rotation)
+        t = np.reshape(target, -1)
 
-        left = self._bisect_smallest(target, tol)
-        right = self._bisect_smallest(target, tol, strict=True)
-        out = _mod_one(0.5 * (left + right))
+        left = self._bisect_smallest(t, tol)
+        # left passes u > t unless u(left) = t, and every grid point below
+        # it fails u >= t and so u > t: the strict side is left but there
+        tie = (left < 1.0) & (self._lift(left) == t)
+        right = left.copy()
+        right[tie] = self._bisect_smallest(t[tie], tol, strict=True)
+        out = _mod_one((0.5 * (left + right)).reshape(np.shape(target)))
         return float(out) if scalar else out
 
     def _bisect_smallest(self, target, tol, strict=False):

@@ -51,7 +51,7 @@ from . import boundary, cantor, discrete
 from .circle_map import from_description
 from .errors import LabError
 from .orlicz import resolve_breakpoints, verify_properties
-from .poisson import PoissonExtension
+from .poisson import PoissonExtension, check_level_terms
 from .report import SCHEMA_VERSION, EnergyParams
 from .weights import WeightSpec, estimate_ap_constant, jones_factors, weight
 
@@ -124,7 +124,8 @@ def _emit(args, payload: dict, rows: list):
 
 
 def _wanted_functionals(args) -> list:
-    """The requested functional keys, checked once per command."""
+    """The requested functional keys, checked once per command, with the
+    level cap of each one's stage."""
     wanted = [f.strip() for f in args.functionals.split(",") if f.strip()]
     bad = [f for f in wanted if f not in FUNCTIONALS]
     if bad:
@@ -135,6 +136,9 @@ def _wanted_functionals(args) -> list:
     twice = sorted({f for f in wanted if wanted.count(f) > 1})
     if twice:
         raise LabError(f"--functionals names {twice} more than once")
+    # the disk stage's level cap, before any stage of the command is built
+    if any(FUNCTIONALS[f][0] == "poisson" for f in wanted):
+        check_level_terms(args.levels)
     return wanted
 
 

@@ -111,7 +111,7 @@ def _series_terms(r: float) -> int:
     return int(_SERIES_DECAY / max(1.0 - r, 1e-12)) + 1
 
 
-def _check_level_terms(j: int):
+def check_level_terms(j: int):
     """PrecisionError if level j's series would be cut where r^n > 1e-14.
 
     The outermost radius needs the most terms and drops the largest
@@ -356,7 +356,7 @@ class PoissonExtension:
             raise DomainError(f"level must be >= 1, got {max_level}")
         if max_level in self._samples:
             return self._samples[max_level]
-        _check_level_terms(max_level)
+        check_level_terms(max_level)
         nodes = [_level_nodes(j) for j in range(1, max_level + 1)]
         grid = _coefficient_grid(self.boundary,
                                  _grid_size(float(nodes[-1][0][-1])))

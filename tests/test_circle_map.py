@@ -257,23 +257,67 @@ def _default_tol(m):
     return max(m.eval_tolerance * 1e-2, 1e-14)
 
 
+def _invert_by_bisection(m, y):
+    """What ``invert`` returns: the midpoint of the >= and the > bisection,
+    taken mod 1."""
+    target = np.mod(np.asarray(y, dtype=float) - m.rotation, 1.0)
+    tol = _default_tol(m)
+    return np.mod(0.5 * (_bisection(m, target, tol)
+                         + _bisection(m, target, tol, strict=True)), 1.0)
+
+
 @pytest.mark.parametrize("name", FLEET_NAMES)
 def test_grid_solve_matches_bisection_on_the_v_targets(name, monkeypatch):
-    # every target the fine and coarse inverse geometries of v ask for
+    # every target the fine and coarse inverse geometries of v ask for:
+    # invert's result against both bisections, and each grid solve against
+    # the bisection of its own side
     m = build_fleet()[name]
-    solve, calls = m._bisect_smallest, []
+    invert, solve = m.invert, m._bisect_smallest
+    inverted, calls = [], []
 
-    def record(target, tol, strict=False):
+    def record_invert(y):
+        out = invert(y)
+        inverted.append((np.array(y, dtype=float).ravel(), out.ravel()))
+        return out
+
+    def record_solve(target, tol, strict=False):
         calls.append((target, tol, strict))
         return solve(target, tol, strict)
 
-    monkeypatch.setattr(m, "_bisect_smallest", record)
+    monkeypatch.setattr(m, "invert", record_invert)
+    monkeypatch.setattr(m, "_bisect_smallest", record_solve)
     inverse_kernel_geometries(m)
-    assert len(calls) == 8          # x and x + offset, both passes, twice
-    assert sum(t.size for t, _, _ in calls) > 800_000
+    monkeypatch.undo()
+    y, got = (np.concatenate(part) for part in zip(*inverted))
+    # 192 x 1,792 and 96 x 896 offset targets, then the outer nodes
+    assert y.size >= 430_080 + 192 + 96
+    assert np.array_equal(got, _invert_by_bisection(m, y))
     for target, tol, strict in calls:
         assert np.array_equal(solve(target, tol, strict),
                               _bisection(m, target, tol, strict))
+
+
+# targets whose >= side lands on the target itself, where the > side is
+# searched: the breakpoint values, plateaus of the staircase among them,
+# and points k 2^-42 of the grid of a piecewise-linear map
+GRID_EXACT = np.ldexp(np.concatenate(
+    [np.arange(0, 1 << 42, 1 << 30), [1, 3, (1 << 42) - 1]]).astype(float),
+    -42)
+
+
+@pytest.mark.parametrize("name", ["pl_kinked", "staircase_s2", "identity",
+                                  "rotation"])
+def test_invert_matches_bisection_where_the_target_is_hit(fleet, name):
+    m = fleet[name]
+    # on the one-piece lifts of the identity and the rotation, u(k 2^-42)
+    # is k 2^-42 itself
+    y = m.lift.ys if m.lift.xs.size > 2 else \
+        np.mod(GRID_EXACT + m.rotation, 1.0)
+    target = np.mod(y - m.rotation, 1.0)
+    left = m._bisect_smallest(target, _default_tol(m))
+    # the strict search runs on these targets
+    assert np.any((left < 1.0) & (m._lift(left) == target))
+    assert np.array_equal(m.invert(y), _invert_by_bisection(m, y))
 
 
 @pytest.mark.parametrize("name", FLEET_NAMES)

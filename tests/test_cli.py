@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from harmext import boundary
+from harmext import boundary, cli
 from harmext.cli import COMMANDS, FLAGS, build_parser, main, region_label
 from harmext.poisson import PoissonExtension
 
@@ -89,6 +89,22 @@ def test_disk_integrals_past_sixteen_levels_exit_1(capsys):
     assert code == 1
     captured = capsys.readouterr()
     assert "error: level 17 needs" in captured.err and not captured.out
+
+
+def test_a_level_cap_is_checked_before_any_stage_is_built(monkeypatch,
+                                                          capsys):
+    # i1 comes last, after the map, pair and inverse stages would be built
+    built = []
+    for name, build in list(cli.STAGES.items()):
+        monkeypatch.setitem(
+            cli.STAGES, name,
+            lambda m, levels, name=name, build=build:
+            built.append(name) or build(m, levels))
+    code = main(["energy", "--map", "cantor_log:s=2,depth=10",
+                 "--functionals", "e1,u,v,i1", "--levels", "17"])
+    assert code == 1
+    assert "error: level 17 needs" in capsys.readouterr().err
+    assert built == []
 
 
 def test_pair_energy_keeps_its_ring_cap_past_sixteen_levels(tmp_path):

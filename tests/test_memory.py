@@ -1,5 +1,5 @@
-"""Memory guards for the |Dh| stage of I1/I2, the pair stage of U and the
-staircase Fourier coefficients.
+"""Memory guards for the |Dh| stage of I1/I2, the pair stage of U, the
+inverse stage of V and the staircase Fourier coefficients.
 
 tracemalloc counts numpy's buffers as they are allocated, so the peak of
 one step is the same from run to run, unlike the resident set size.  The
@@ -16,6 +16,9 @@ FFT of the whole grid took 64 MB.  The pair stage is measured after the
 |Dh| stage, as in an ``energy`` command.  The pair geometry holds a count
 per (offset, slope) and the image chords of the straddling pairs only: the
 pairs with a breakpoint of the lift, 0 or 1 between their ends.  The
+inverse stage holds its (outer node x offset) chord array and inverts the
+targets one block of outer nodes at a time, so its peak is that array and
+one block's temporaries, not a dozen arrays of every target.  The
 staircase recursion runs over blocks of frequencies, so a long frequency
 vector costs its output and one block's arrays.  The modulus certificate of
 a staircase counts its 2^(depth+1) gap pairs without listing them, so
@@ -29,6 +32,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from harmext import boundary, circle_map
 from harmext.cantor import certify_modulus, make_staircase_map
@@ -50,6 +54,9 @@ DH_STAGE_MAXRSS_MB = 110.0
 BUILD_PEAK_MB = 16.0
 # U holds one ring's ratios and weights, with Phi's two buffers, at a time
 U_PEAK_MB = 4.0
+# the fine and coarse inverse geometries of pl_kinked and staircase_s2
+# peak near 6.6 MB; inverting all 344,064 targets at once took 32-34 MB
+INVERSE_STAGE_PEAK_MB = 8.0
 # the staircase's 291,264 straddling pairs at 14 rings take 2.3 MB
 STAIRCASE_GEOMETRY_MB = 8.0
 # the staircase coefficients at k = -2^18..2^18: 8 MB of output, a float
@@ -128,6 +135,19 @@ def test_pair_stage_peaks_stay_bounded():
         tracemalloc.stop()
     assert build_mb <= BUILD_PEAK_MB
     assert u_mb <= U_PEAK_MB
+
+
+@pytest.mark.parametrize("m", [circle_map.piecewise_linear(PL_KINKED),
+                               make_staircase_map("power", 2.0, 10)],
+                         ids=["pl_kinked", "staircase_s2"])
+def test_inverse_stage_peak_stays_bounded(m):
+    tracemalloc.start()
+    try:
+        _, stage_mb = _traced_peak_mb(
+            lambda: boundary.inverse_kernel_geometries(m))
+    finally:
+        tracemalloc.stop()
+    assert stage_mb <= INVERSE_STAGE_PEAK_MB
 
 
 def test_staircase_pair_geometry_stays_small():
