@@ -232,7 +232,9 @@ _SECOND_DIFF_TOL = 1e-9
 def _default_grid(t_max: float, n: int) -> np.ndarray:
     lin = np.linspace(0.0, t_max, n // 2)
     geo = np.geomspace(1e-8, t_max, n - n // 2)
-    return np.unique(np.concatenate([lin, geo]))
+    # sorted, each value once (np.unique would import numpy.ma)
+    grid = np.sort(np.concatenate([lin, geo]))
+    return grid[np.append(True, grid[1:] != grid[:-1])]
 
 
 def verify_properties(spec: OrliczSpec, use_psi: bool = False,

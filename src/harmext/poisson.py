@@ -49,10 +49,20 @@ h_zbar = sum k c_{-k} zbar^(k-1) (c_k the FFT coefficients of the boundary
 samples) is evaluated on radial slices by index folding -- exactly the
 trapezoid kernel quadrature, resummed, which keeps level J ~ 16
 affordable.  Each Gauss radius of a level folds its damped series for all
-four angular offsets, reading it one row of 2^j terms at a time into one
-row buffer (the last row zero-padded) and adding the rows in order, with
-one FFT over the stack of four; the column phases of the offsets are
-computed once per level and shared by its four radii.  A radius is cut at
+four angular offsets as matrix products: the coefficient grid itself, read
+as Q whole rows of C = 2^j terms (the terms past K lie below r^K < 1e-16,
+and QC <= m/2), is multiplied by an (8 x Q) weight matrix, and one FFT
+runs over the stack of four offsets.  The damping is split in rank two,
+k r^(k-1) = r^(qC) r^l (qC + l + 1) for k = qC + l + 1: the weights hold
+e^(sign 2 pi i g q) r^(qC) and the same times qC, and r^l and l + 1 act
+once on the (4 x C) result, so no copy of the series is made.  h_zbar
+reads the grid's last rows forwards, with the reversal in its weights and
+its result.  The products run over tiles of 128 columns: an (8 x 35) x
+(35 x 128) product makes under 2^16 multiply-adds, which OpenBLAS runs on
+the calling thread, where one product per radius woke a second BLAS
+thread whose spin cost more CPU time than the fold saved.  The column
+phases are computed once per build, at level J; level j's are that table
+at stride 2^(J-j), and the -1 sign's its conjugate.  A radius is cut at
 2^21 series terms, and a level whose first dropped power r^n exceeds 1e-14
 (every level past 16) raises PrecisionError before any grid is built.  The
 samples of levels 1..J are one build (``level_samples(J)``), cached per J:
@@ -71,7 +81,8 @@ trapezoid aliasing identity c^(m/2)_k = c^(m)_k + c^(m)_(k+m/2)
 differs from a single FFT of the same samples by rounding only (at most
 2.3e-16 for m = 2^14..2^22 on the tested maps), and so does a halved grid
 from the FFT of its own samples.  The samples depend on (map, J) alone,
-and the extension holds no grid afterwards.
+and the extension holds no grid afterwards.  A 14-level build of
+``pl_kinked`` peaks at 43.4 MB traced, a 16-level one at 109.0 MB.
 """
 
 from __future__ import annotations
@@ -97,6 +108,7 @@ _MAX_SLICE_TERMS = 1 << 21    # damped series terms per radius
 _SLICE_CUT = 1e-14            # largest first dropped power r^n allowed
 _RADIX = 4                    # rows of the coefficient grid's build
 _JOIN_CHUNK = 1 << 12         # columns per step of its join, 64 KB a row
+_FOLD_TILE = 128              # columns per product of the fold
 
 
 def _level_nodes(j: int):
@@ -141,51 +153,72 @@ def _alias_half(grid: np.ndarray) -> np.ndarray:
     return grid[:half]
 
 
-def _slice_derivatives(coeffs: np.ndarray, r: float, j: int, offsets,
-                       col_phases):
+def _column_phases(J: int) -> np.ndarray:
+    """e^(2 pi i g l / 2^J), l = 0..2^J-1, one row per Gauss offset g.
+
+    Level j's phases are this table at stride 2^(J-j), bit for bit: the
+    argument is scaled by powers of two, which round nothing.
+    """
+    col_index = np.arange(1 << J)
+    return np.stack([np.exp(2j * np.pi * g * col_index / (1 << J))
+                     for g in _G4X])
+
+
+def _slice_derivatives(coeffs: np.ndarray, r: float, j: int, col_phases):
     """h_z and h_zbar at r * exp(2 pi i (l + g)/2^j), l = 0..2^j-1.
 
-    One row per angular offset g in ``offsets``: each returned array has
-    shape (len(offsets), 2^j).  ``col_phases[sign]`` holds
-    e^(sign 2 pi i g l / 2^j) per offset, shared by the radii of the
-    level.  Folds the damped series of the FFT grid ``coeffs`` into 2^j
-    residue classes; the result is the trapezoid kernel quadrature with
-    the full grid, evaluated exactly on the slices.
+    One row per Gauss offset g: each returned array has shape (4, 2^j).
+    ``col_phases[sign]`` holds e^(sign 2 pi i g l / 2^j), shared by the
+    radii of the level.  Folds the damped series of the FFT grid
+    ``coeffs`` into 2^j residue classes; the result is the trapezoid
+    kernel quadrature with the full grid, evaluated exactly on the slices.
     """
     C = 1 << j
     M = coeffs.size
-    n_terms = max(min(_series_terms(r), M // 2), 1)
-    # k r^(k-1), k = 1..n_terms, in one buffer (r > 0: a Gauss radius)
-    damp = np.arange(n_terms) * math.log(r)
-    np.exp(damp, out=damp)
-    damp *= np.arange(1, n_terms + 1)
-    row_index = np.arange(-(-n_terms // C))
-    row = np.empty(C, dtype=complex)
-    term = np.empty((len(offsets), C), dtype=complex)
+    # whole rows of C terms: those past K lie below r^K < 1e-16, and
+    # Q C <= M/2, as the grid holds twice K and C divides M/2
+    n_rows = -(-max(min(_series_terms(r), M // 2), 1) // C)
+    span = n_rows * C
+    # k r^(k-1) = r^(qC) r^l (qC + l + 1) for k = qC + l + 1: the weights
+    # take r^(qC) and qC, the (4 x C) result r^l and l + 1 (r > 0: a
+    # Gauss radius)
+    log_r = math.log(r)
+    row_index = np.arange(n_rows)
+    row_start = row_index * C
+    row_damp = np.exp(row_start * log_r)
+    col_damp = np.exp(np.arange(C) * log_r)
+    col_k = np.arange(1, C + 1)
+    prod = np.empty((8, C), dtype=complex)
 
-    def fold(sign, series):
-        # value_l = sum_m series[m] damp[m] e^(sign 2 pi i m (l+g)/C), one
-        # row of C terms at a time (the last zero-padded), added in order:
-        # a matrix product over the rows would round differently
-        row_phase = np.stack([np.exp(sign * 2j * np.pi * g * row_index)
-                              for g in offsets])
-        folded = np.zeros_like(term)
-        for q in range(row_index.size):
-            part = series[q * C:(q + 1) * C]
-            np.multiply(part, damp[q * C:(q + 1) * C], out=row[:part.size])
-            row[part.size:] = 0.0
-            np.multiply(row, row_phase[:, q:q + 1], out=term)
-            folded += term
+    def fold(sign, rows, backward):
+        # prod[:4] = sum_q e^(sign 2 pi i g q) r^(qC) rows[q], and prod[4:]
+        # the same with qC, in tiles of _FOLD_TILE columns, which keep
+        # OpenBLAS on the calling thread
+        w = np.exp(sign * 2j * np.pi * _G4X[:, None] * row_index)
+        w *= row_damp
+        weights = np.concatenate([w, w * row_start])
+        if backward:
+            # a contiguous copy: BLAS takes no negative stride
+            weights = weights[:, ::-1].copy()
+        for a in range(0, C, _FOLD_TILE):
+            np.matmul(weights, rows[:, a:a + _FOLD_TILE],
+                      out=prod[:, a:a + _FOLD_TILE])
+        out = prod[:, ::-1] if backward else prod
+        folded = out[:4] * col_k
+        folded += out[4:]
+        folded *= col_damp
         folded *= col_phases[sign]
         # C is a power of two, so skipping ifft's 1/C is exact
         if sign > 0:
             return np.fft.ifft(folded, axis=1, norm="forward")
         return np.fft.fft(folded, axis=1)
 
-    # h_z takes coeffs[k], h_zbar coeffs[M - k], k = 1..n_terms, as
-    # slices (n_terms <= M/2, so neither wraps)
-    return fold(+1, coeffs[1:n_terms + 1]), \
-        fold(-1, coeffs[M - n_terms:][::-1])
+    # h_z takes coeffs[k], k = 1..span, as Q rows of C; h_zbar takes
+    # coeffs[M - k], which are the rows of coeffs[M - span:] backwards,
+    # both along the rows and within each: the weights run backwards,
+    # and so does the result (span <= M/2, so neither wraps)
+    return fold(+1, coeffs[1:span + 1].reshape(n_rows, C), False), \
+        fold(-1, coeffs[M - span:].reshape(n_rows, C), True)
 
 
 def _exp_turns(turns: np.ndarray) -> np.ndarray:
@@ -360,22 +393,19 @@ class PoissonExtension:
         nodes = [_level_nodes(j) for j in range(1, max_level + 1)]
         grid = _coefficient_grid(self.boundary,
                                  _grid_size(float(nodes[-1][0][-1])))
-        offsets = [float(g) for g in _G4X]
+        phases = _column_phases(max_level)
         samples = []
         # from the outside in, so the grid size m(r) never grows
         for j in range(max_level, 0, -1):
             r_nodes, wr = nodes[j - 1]
-            n_cells = 1 << j
-            col_index = np.arange(n_cells)
-            col_phases = {sign: np.stack([
-                np.exp(sign * 2j * np.pi * g * col_index / n_cells)
-                for g in offsets]) for sign in (+1, -1)}
-            dh = np.empty((4, 4, n_cells))
+            level_phases = phases[:, ::1 << (max_level - j)]
+            col_phases = {+1: level_phases, -1: np.conj(level_phases)}
+            dh = np.empty((4, 4, 1 << j))
             for ri in range(3, -1, -1):
                 r = float(r_nodes[ri])
                 while grid.size > _grid_size(r):
                     grid = _alias_half(grid)
-                hz, hzb = _slice_derivatives(grid, r, j, offsets, col_phases)
+                hz, hzb = _slice_derivatives(grid, r, j, col_phases)
                 dh[ri] = np.abs(hz) + np.abs(hzb)
             samples.append((dh, r_nodes, wr,
                             _G4W * (2 * math.pi * 2.0 ** -j)))

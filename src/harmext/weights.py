@@ -174,8 +174,10 @@ def _disk_average(spec: WeightSpec, power: float, center: complex,
             if step < 1e-13:
                 break
         edges.append(1.0)
-    edges = np.unique(np.asarray(edges, dtype=float))
-    # one row per panel; np.unique leaves every width positive
+    # sorted, each value once (np.unique would import numpy.ma), so every
+    # panel width is positive; one row per panel
+    edges = np.sort(np.asarray(edges, dtype=float))
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
     a = edges[:-1, None]
     width = (edges[1:] - edges[:-1])[:, None]
 

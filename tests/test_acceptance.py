@@ -132,6 +132,23 @@ class TestAnchors:
             EnergyParams(2.0, 0.0, 0.0))
         assert rep.value == pytest.approx(4 * math.pi ** 2 * S, rel=3e-4)
 
+    @pytest.mark.parametrize("name", ["identity", "rotation", "pl_mild",
+                                      "pl_kinked"])
+    def test_disk_energy_lies_between_pi_s_and_two_pi_s(
+            self, fleet, poisson_fleet, name):
+        # int |h_z|^2 + |h_zbar|^2 over the disk is pi sum |k| |c_k|^2, and
+        # |Dh|^2 = (|h_z| + |h_zbar|)^2 lies between that integrand and
+        # twice it.  The tail-completed i1 reads 1.0000, 1.0000, 1.145
+        # and 1.265 times pi S; where h_zbar = 0 it sits on the lower end,
+        # 7.5e-9 under it, hence a relative slack of 1e-6
+        c = fleet[name].fourier_coefficients(4096)
+        k = np.arange(-4096, 4097)
+        S = float(np.sum(np.abs(k) * np.abs(c) ** 2))
+        rep = poisson_fleet(name).kernel_weight_integral(
+            EnergyParams(2.0, 0.0, 0.0), 14)
+        full = rep.value + rep.notes["tail_estimate"]
+        assert math.pi * S * (1 - 1e-6) <= full <= 2 * math.pi * S
+
     def test_inverse_kernel_identity_mean_zero(self, fleet):
         rep = boundary.evaluate_inverse_kernel(
             boundary.inverse_kernel_geometries(fleet["identity"]),

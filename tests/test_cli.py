@@ -614,11 +614,32 @@ print("scipy" in sys.modules)
 """
 
 
-def test_only_v_loads_scipy(tmp_path):
+# the first np.unique of a process imports numpy.ma (14-19 ms, 1.6 MB);
+# the two check commands sort and mask instead
+CHECKS_COLD_START = """
+import sys
+from harmext.cli import main
+
+for argv in (["weights-check", "--trials", "5"], ["orlicz-check"]):
+    assert main(argv + ["--out", sys.argv[1]]) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def _run_cold(script, tmp_path):
+    """The words a fresh interpreter prints running ``script``."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", COLD_START,
+    done = subprocess.run([sys.executable, "-c", script,
                            str(tmp_path / "out")], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "True"]
+    return done.stdout.split()
+
+
+def test_only_v_loads_scipy(tmp_path):
+    assert _run_cold(COLD_START, tmp_path) == ["False", "True"]
+
+
+def test_check_commands_leave_numpy_ma_unloaded(tmp_path):
+    assert _run_cold(CHECKS_COLD_START, tmp_path) == ["False"]

@@ -5,10 +5,9 @@ tracemalloc counts numpy's buffers as they are allocated, so the peak of
 one step is the same from run to run, unlike the resident set size.  The
 |Dh| stage to level 14 builds one grid of 2^21 FFT coefficients (32 MB) in
 place from four quarter FFTs and halves it in place for the smaller radii;
-it peaks in the fold of level 14's outermost radius, whose damping factors
-with their index temporaries and the fold's (4 x 2^14) buffers add about
-14 MB to the grid; the series is read one row at a time.  Afterwards the
-extension holds only the samples, about 4 MB.  To level 16 the grid is 2^22
+the fold reads the grid itself as whole rows, in matrix products over
+column tiles, and copies no part of the series.  Afterwards the extension
+holds only the samples, about 4 MB.  To level 16 the grid is 2^22
 coefficients (64 MB).  pocketfft's work buffers are invisible to
 tracemalloc, so the stage's high-water mark of resident memory is checked
 in a fresh process: each quarter FFT's buffers take about 8 MB, where one
@@ -41,11 +40,13 @@ from harmext.report import EnergyParams
 
 PL_KINKED = ((0.0, 0.0), (0.25, 0.5), (0.75, 0.6), (1.0, 1.0))
 
-# levels 1..14 of pl_kinked peak at 46.0 MB and hold 4.1 MB afterwards;
-# a zero-padded complex copy of the damped series took the peak to 53.3 MB
-DH_STAGE_PEAK_MB = 50.0
-# levels 1..16 peak at 119.5 MB; with the padded copy, at 146.5 MB
-DH_STAGE_16_PEAK_MB = 128.0
+# levels 1..14 of pl_kinked peak at 43.4 MB and hold 4.1 MB afterwards;
+# the row-by-row fold peaked at 46.0 MB, a damped (Q x 2^j) copy of the
+# series at 52.2 MB and a zero-padded copy at 53.3 MB
+DH_STAGE_PEAK_MB = 47.0
+# levels 1..16 peak at 109.0 MB; the row-by-row fold at 119.4 MB, the
+# padded copy at 146.5 MB
+DH_STAGE_16_PEAK_MB = 118.0
 DH_STAGE_HELD_MB = 8.0
 # a fresh process that builds them peaks at 85 MB resident, 30 MB of it
 # the interpreter and numpy; one FFT of the whole grid took it to 145 MB

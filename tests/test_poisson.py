@@ -333,21 +333,32 @@ def _grid_size(r):
     return min(max(1 << 14, 1 << (max(length, 1) - 1).bit_length()), 1 << 22)
 
 
+def _level_phases(j, offsets):
+    """e^(sign 2 pi i g l / 2^j) per offset, one table per sign, computed
+    for level j alone."""
+    col_index = np.arange(1 << j)
+    return {sign: np.stack([np.exp(sign * 2j * np.pi * g * col_index / (1 << j))
+                            for g in offsets]) for sign in (+1, -1)}
+
+
 class _ReferenceStage:
     """The |Dh| stage computed the plain way.
 
     Each coefficient grid is either the quarter transform (``_quarter_fft``)
     of its own boundary samples, evaluated and exponentiated afresh (one
     grid per radius), or, with ``halve``, the first grid asked for, halved
-    by out-of-place sums c[:m/2] + c[m/2:].  The fold sums a (rows x C)
-    product per offset, and the scalings are explicit divisions and
-    products.  ``level_samples`` must give the same bits as the halving
-    form.
+    by out-of-place sums c[:m/2] + c[m/2:].  The grids are folded by
+    ``poisson._slice_derivatives``, with each level's column phases
+    computed for that level alone, or, with ``plain``, by a sum over a
+    (rows x C) product per offset, with the scalings as explicit divisions
+    and products.  ``level_samples`` must give the same bits as the
+    halving form with the program's fold.
     """
 
-    def __init__(self, boundary, halve):
+    def __init__(self, boundary, halve, plain=False):
         self.boundary = boundary
         self.halve = halve
+        self.plain = plain
         self.coeffs = None
 
     def fourier_coeffs(self, m):
@@ -365,9 +376,12 @@ class _ReferenceStage:
         return self.coeffs
 
     def slice_derivatives(self, r, j, offsets):
+        coeffs = self.fourier_coeffs(_grid_size(r))
+        if not self.plain:
+            return poisson._slice_derivatives(coeffs, r, j,
+                                              _level_phases(j, offsets))
         C = 1 << j
         need = int(37.0 / max(1.0 - r, 1e-12)) + 1
-        coeffs = self.fourier_coeffs(_grid_size(r))
         M = coeffs.size
         n_terms = max(min(need, M // 2), 1)
         k = np.arange(1, n_terms + 1)
@@ -407,7 +421,8 @@ class _ReferenceStage:
                                   "pl_kinked", "staircase_s2"])
 def test_level_samples_are_the_reference_bit_for_bit(fleet, name):
     # the in-place quarter transform and join, the in-place halving, the
-    # forward scaling and the row-by-row fold change no bit of the samples
+    # forward scaling and the column phases sliced from level J's change
+    # no bit of the samples
     deepest = 14 if name in ("pl_kinked", "staircase_s2") else 12
     ext = PoissonExtension(fleet[name])
     ref = _ReferenceStage(fleet[name], halve=True)
@@ -429,52 +444,49 @@ def test_shallow_samples_are_one_grid_per_radius_bit_for_bit(fleet, name):
             assert np.array_equal(dh, ref.dh(j, r_nodes)), (J, j)
 
 
-def _padded_fold(coeffs, r, j, offsets, col_phases):
-    """``poisson._slice_derivatives`` as it was with its padded buffer: the
-    damped series written once into zero-padded (rows x 2^j) rows, and
-    the fold started from the first row."""
-    C = 1 << j
-    M = coeffs.size
-    n_terms = max(min(poisson._series_terms(r), M // 2), 1)
-    damp = np.arange(n_terms) * math.log(r)
-    np.exp(damp, out=damp)
-    damp *= np.arange(1, n_terms + 1)
-    rows = np.zeros((-(-n_terms // C), C), dtype=complex)
-    series = rows.reshape(-1)[:n_terms]
-    row_index = np.arange(rows.shape[0])
-    term = np.empty((len(offsets), C), dtype=complex)
-
-    def fold(sign):
-        row_phase = np.stack([np.exp(sign * 2j * np.pi * g * row_index)
-                              for g in offsets])
-        folded = np.multiply(rows[0], row_phase[:, :1])
-        for q in range(1, rows.shape[0]):
-            np.multiply(rows[q], row_phase[:, q:q + 1], out=term)
-            folded += term
-        folded *= col_phases[sign]
-        if sign > 0:
-            return np.fft.ifft(folded, axis=1, norm="forward")
-        return np.fft.fft(folded, axis=1)
-
-    np.multiply(coeffs[1:n_terms + 1], damp, out=series)
-    hz = fold(+1)
-    np.multiply(coeffs[M - n_terms:][::-1], damp, out=series)
-    return hz, fold(-1)
-
-
 @pytest.mark.parametrize("name,J", [
     ("identity", 14), ("rotation", 14), ("pl_mild", 14), ("pl_kinked", 14),
     ("staircase_s2", 14), ("pl_kinked", 16)])
-def test_row_by_row_fold_is_the_padded_fold_bit_for_bit(
-        fleet, poisson_fleet, monkeypatch, name, J):
-    # reading the damped series one row at a time, into one row buffer,
-    # and starting the fold from zeros change no bit of |Dh|
+def test_tiled_fold_matches_the_plain_fold(fleet, poisson_fleet, name, J):
+    # the tiled products over whole rows, with the damping split into
+    # r^(qC) qC and r^l (l + 1), round differently from a plain sum per
+    # offset over the series cut at K terms, and add terms below r^K;
+    # the largest deviation seen is 2.7e-14
     got = poisson_fleet(name).level_samples(J) if J == 14 else \
         PoissonExtension(fleet[name]).level_samples(J)
-    monkeypatch.setattr(poisson, "_slice_derivatives", _padded_fold)
-    ref = PoissonExtension(fleet[name]).level_samples(J)
-    for j, (a, b) in enumerate(zip(got, ref), 1):
-        assert np.array_equal(a[0], b[0]), j
+    ref = _ReferenceStage(fleet[name], halve=True, plain=True)
+    for j in range(J, 0, -1):
+        dh, r_nodes, _, _ = got[j - 1]
+        np.testing.assert_allclose(dh, ref.dh(j, r_nodes), rtol=1e-12,
+                                   atol=0, err_msg=str(j))
+
+
+@pytest.mark.parametrize("J", [14, 16])
+def test_column_phases_are_the_level_phases_bit_for_bit(J):
+    # level j reads level J's table at stride 2^(J-j), and the -1 sign
+    # its conjugate
+    offsets = [float(g) for g in _G4X]
+    table = poisson._column_phases(J)
+    for j in range(1, J + 1):
+        sliced = table[:, ::1 << (J - j)]
+        want = _level_phases(j, offsets)
+        assert np.array_equal(sliced, want[+1]), j
+        assert np.array_equal(np.conj(sliced), want[-1]), j
+
+
+def test_fold_tiles_stay_small_and_rows_stay_in_the_grid():
+    # every radius of levels 1..16 reads Q whole rows of 2^j inside the
+    # first and the last half of its grid, and each (8 x Q) x (Q x tile)
+    # product makes at most 2^16 multiply-adds: OpenBLAS 0.3.31 ran
+    # 8 x 20 x 256 on the calling thread and woke a second at 8 x 36 x 256
+    for j in range(1, 17):
+        C = 1 << j
+        for r in poisson._level_nodes(j)[0]:
+            M = poisson._grid_size(float(r))
+            n_terms = min(poisson._series_terms(float(r)), M // 2)
+            Q = -(-n_terms // C)
+            assert Q * C <= M // 2, (j, r)
+            assert 8 * Q * poisson._FOLD_TILE <= 65_536, (j, r)
 
 
 def test_levels_the_series_cap_would_cut_raise_before_sampling():
