@@ -190,20 +190,21 @@ def _slice_derivatives(coeffs: np.ndarray, r: float, j: int, col_phases):
     col_k = np.arange(1, C + 1)
     prod = np.empty((8, C), dtype=complex)
 
-    def fold(sign, rows, backward):
+    def fold(sign, rows):
         # prod[:4] = sum_q e^(sign 2 pi i g q) r^(qC) rows[q], and prod[4:]
         # the same with qC, in tiles of _FOLD_TILE columns, which keep
         # OpenBLAS on the calling thread
         w = np.exp(sign * 2j * np.pi * _G4X[:, None] * row_index)
         w *= row_damp
         weights = np.concatenate([w, w * row_start])
-        if backward:
-            # a contiguous copy: BLAS takes no negative stride
+        if sign < 0:
+            # h_zbar's rows run backwards; a contiguous copy, as BLAS
+            # takes no negative stride
             weights = weights[:, ::-1].copy()
         for a in range(0, C, _FOLD_TILE):
             np.matmul(weights, rows[:, a:a + _FOLD_TILE],
                       out=prod[:, a:a + _FOLD_TILE])
-        out = prod[:, ::-1] if backward else prod
+        out = prod[:, ::-1] if sign < 0 else prod
         folded = out[:4] * col_k
         folded += out[4:]
         folded *= col_damp
@@ -217,8 +218,8 @@ def _slice_derivatives(coeffs: np.ndarray, r: float, j: int, col_phases):
     # coeffs[M - k], which are the rows of coeffs[M - span:] backwards,
     # both along the rows and within each: the weights run backwards,
     # and so does the result (span <= M/2, so neither wraps)
-    return fold(+1, coeffs[1:span + 1].reshape(n_rows, C), False), \
-        fold(-1, coeffs[M - span:].reshape(n_rows, C), True)
+    return fold(+1, coeffs[1:span + 1].reshape(n_rows, C)), \
+        fold(-1, coeffs[M - span:].reshape(n_rows, C))
 
 
 def _exp_turns(turns: np.ndarray) -> np.ndarray:
