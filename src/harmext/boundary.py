@@ -167,8 +167,10 @@ class PairGeometry:
     chord(s d) wherever x is, so such a pair is kept only as a count per
     (offset, slope).  A pair straddles when a breakpoint of the lift, 0 or
     1 lies strictly between x and x + d; the map is read at the two ends of
-    the straddling pairs only (``CircleMap.eval``), and their image chords
-    are kept in order of offset, then node.
+    the straddling pairs only (``CircleMap.eval``).  Each ring keeps Phi's
+    arguments, image chord over source chord, in one array: per (offset,
+    slope) in row order, then per straddling pair in order of offset, then
+    node.
     """
 
     description: str       # the map's description
@@ -176,9 +178,8 @@ class PairGeometry:
     n_inner: int
     rings: list            # ring index j
     chords: list           # |xi - eta| per offset: (2 n_inner,) a ring
-    slope_chords: list     # chord(s d): (2 n_inner, n_slopes) a ring
-    slope_counts: list     # one-piece pairs per (offset, slope), likewise
-    straddle_chords: list  # |phi xi - phi eta| of the straddling pairs
+    ratios: list           # Phi's arguments, as above, a ring
+    slope_counts: list     # one-piece pairs per (offset, slope)
     straddle_counts: list  # straddling pairs per offset: (2 n_inner,)
     weights: list          # product measure per pair, one scalar per ring
 
@@ -199,9 +200,8 @@ class PairGeometry:
         slopes, piece_slope = np.unique(np.diff(ys) / np.diff(xs),
                                         return_inverse=True)
         geom = cls(description=circle_map.description, n_outer=n_outer,
-                   n_inner=n_inner, rings=[], chords=[], slope_chords=[],
-                   slope_counts=[], straddle_chords=[], straddle_counts=[],
-                   weights=[])
+                   n_inner=n_inner, rings=[], chords=[], ratios=[],
+                   slope_counts=[], straddle_counts=[], weights=[])
         for j in range(1, diagonal_rings + 1):
             # the integrand varies at the offset scale 2^-j, so the outer
             # grid must refine with the ring or deep rings of maps with
@@ -238,11 +238,14 @@ class PairGeometry:
             # is 0: keep inf * 0 out of the sum
             rise[counts == 0] = 0.0
 
+            # source offsets are >= 2^-(j+1), so no chord is 0
+            chords = _chord(np.minimum(np.abs(d), 1.0 - np.abs(d)))
             geom.rings.append(j)
-            geom.chords.append(_chord(np.minimum(np.abs(d), 1.0 - np.abs(d))))
-            geom.slope_chords.append(rise)
+            geom.chords.append(chords)
+            geom.ratios.append(np.concatenate(
+                [(rise / chords[:, None]).ravel(),
+                 _chord(du) / np.repeat(chords, per_offset)]))
             geom.slope_counts.append(counts)
-            geom.straddle_chords.append(_chord(du))
             geom.straddle_counts.append(per_offset)
             geom.weights.append(2.0 ** -(j + 1) / n_inner / n_out)
         return geom
@@ -259,13 +262,10 @@ def evaluate_gauge_pair(geom: PairGeometry,
     spec = OrliczSpec(p=params.p, lam=params.lam)
     scale = (2.0 * math.pi) ** 2
     per_ring = []
-    for chords, s_chords, s_counts, x_chords, x_counts, w in zip(
-            geom.chords, geom.slope_chords, geom.slope_counts,
-            geom.straddle_chords, geom.straddle_counts, geom.weights):
-        # source offsets are >= 2^-(j+1), so no chord is 0
+    for chords, ratios, s_counts, x_counts, w in zip(
+            geom.chords, geom.ratios, geom.slope_counts,
+            geom.straddle_counts, geom.weights):
         powered = chords ** params.alpha
-        ratios = np.concatenate([(s_chords / chords[:, None]).ravel(),
-                                 x_chords / np.repeat(chords, x_counts)])
         terms = phi(spec, ratios)
         terms *= np.concatenate([(s_counts * powered[:, None]).ravel(),
                                  np.repeat(powered, x_counts)])

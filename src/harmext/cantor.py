@@ -6,9 +6,11 @@ previous steps.  Margins shrink along a schedule j_1 <= j_2 <= ... :
     margin(n) = 4^-n            for n <  n0,
     margin(n) = 2^-j_n          for n >= n0,
 
-where n0 is the first index from which  j_{n+1} >= j_n + 2  and
-j_n >= 2n  both hold (so margins stay nested and summable).  Two schedule
-kinds are supported:
+where n0 is the smallest index >= 1 such that  j_n >= 2n  and, short of
+the depth,  j_{n+1} >= j_n + 2  hold at every step n >= n0 - 1 (so
+margins stay nested and summable): 2 past the last step where one fails,
+or 1 if none does.  So power(2), whose last failure is j_8 = 15 < 16,
+has n0 = 10.  Two schedule kinds are supported:
 
     power(s):       j_n = largest integer < 2^(n/s)
     double_exp(p):  j_n = largest integer < exp(2^(n(p-1)))
@@ -96,8 +98,10 @@ class RemovalSchedule:
 
 
 def build_schedule(kind: str, parameter: float, depth: int) -> RemovalSchedule:
-    """The schedule j_1..j_depth of one kind; DepthBudgetError names the
-    first step whose j_n passes ``MAX_MARGIN_EXPONENT``."""
+    """The schedule j_1..j_depth of one kind and its n0 (module notes);
+    DepthBudgetError names the first step whose j_n passes
+    ``MAX_MARGIN_EXPONENT``, and ConstructionError says when n0 would
+    pass the depth."""
     if depth < 2:
         raise DomainError("need depth >= 2")
     # written so that NaN fails them too
@@ -123,15 +127,10 @@ def build_schedule(kind: str, parameter: float, depth: int) -> RemovalSchedule:
                 f"{MAX_MARGIN_EXPONENT} on margin exponents (margins 2^-j)")
         js.append(j)
 
-    n0 = None
-    for cand in range(1, depth + 1):
-        start = max(1, cand - 1)
-        ok = all(js[n] - js[n - 1] >= 2 for n in range(start, depth)) and \
-            all(js[n - 1] >= 2 * n for n in range(start, depth + 1))
-        if ok:
-            n0 = cand
-            break
-    if n0 is None:
+    n0 = max((n + 2 for n in range(1, depth + 1)
+              if js[n - 1] < 2 * n or (n < depth and js[n] < js[n - 1] + 2)),
+             default=1)
+    if n0 > depth:
         raise ConstructionError(
             f"no admissible n0 within depth {depth} for {kind}({parameter}); "
             "increase depth")

@@ -213,15 +213,14 @@ class PiecewiseLinearLift:
             counts=tuple(whole[i] for i in keep) + (1,) * cut.size)
 
     def __eq__(self, other):
-        """Equal lifts: one class, equal breakpoints, one eval_tolerance.
+        """Equal lifts: one class and equal breakpoints.
 
         Defining ``__eq__`` leaves the class unhashable, like ``CircleMap``.
         """
         if type(other) is not type(self):
             return NotImplemented
         return (np.array_equal(self.xs, other.xs)
-                and np.array_equal(self.ys, other.ys)
-                and self.eval_tolerance == other.eval_tolerance)
+                and np.array_equal(self.ys, other.ys))
 
 
 @dataclass

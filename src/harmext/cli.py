@@ -330,7 +330,7 @@ def cmd_weights_check(args) -> int:
 def cmd_orlicz_check(args) -> int:
     p, lam = args.p[0], args.lam[0]
     spec = resolve_breakpoints(p, lam)
-    rep = verify_properties(spec, use_psi=spec.needs_repair)
+    rep = verify_properties(spec)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "orlicz-check",

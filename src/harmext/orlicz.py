@@ -237,16 +237,17 @@ def _default_grid(t_max: float, n: int) -> np.ndarray:
     return grid[np.append(True, grid[1:] != grid[:-1])]
 
 
-def verify_properties(spec: OrliczSpec, use_psi: bool = False,
-                      t_max: float = 1e6,
+def verify_properties(spec: OrliczSpec, t_max: float = 1e6,
                       grid_points: int = 4000) -> PropertyReport:
     """Check monotonicity, convexity (second differences), the doubling
-    bound, the quasi-power bounds, and global Psi ~ Phi comparability on a
+    bound and the quasi-power bounds of the convex gauge ``psi`` (Phi
+    itself when lambda >= 0), and global Psi ~ Phi comparability, on a
     sample grid.
 
-    The largest argument sampled is 2 t_max; DomainError, before any
-    sampling, if log Phi there passes the float range, where every check
-    would read inf or NaN.
+    A lambda < 0 spec must come from ``resolve_breakpoints``, or ``psi``
+    raises UnresolvedSpecError.  The largest argument sampled is 2 t_max;
+    DomainError, before any sampling, if log Phi there passes the float
+    range, where every check would read inf or NaN.
     """
     top = 2.0 * t_max
     log_top = spec.p * math.log(top) + spec.lam * math.log(math.log(_E + top))
@@ -255,7 +256,9 @@ def verify_properties(spec: OrliczSpec, use_psi: bool = False,
             f"Phi(2 t_max) = Phi({top:g}) = e^{log_top:.1f} passes the float "
             f"range (e^{_LOG_FLOAT_MAX:.1f}) at p={spec.p}, "
             f"lambda={spec.lam}")
-    f = (lambda t: psi(spec, t)) if use_psi else (lambda t: phi(spec, t))
+
+    def f(t):
+        return psi(spec, t)
 
     grid = _default_grid(t_max, grid_points)
     vals = f(grid)

@@ -147,8 +147,8 @@ def _disk_average(spec: WeightSpec, power: float, center: complex,
     A stage evaluates the weight, its power and ang once, on the (panels, n)
     array of all midpoints.  Each row is summed with ``np.sum(axis=1)``,
     the same pairwise sum as over that panel alone, and the row sums are
-    added as floats in panel order, so the value is the one a loop over the
-    panels gives, bit for bit.
+    added in panel order by ``np.cumsum``, so the value is the one a loop
+    over the panels gives, bit for bit.
     """
     c = abs(center)
     lo = max(0.0, c - radius)
@@ -192,14 +192,11 @@ def _disk_average(spec: WeightSpec, power: float, center: complex,
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             vals = vals ** power
         slab = rho * ang(rho) * width / n
-        # plain float additions in panel order (the builtin sum() compensates
-        # since Python 3.12, which would change the last bits)
-        total = 0.0
-        for part in np.sum(vals * slab, axis=1).tolist():
-            total += part
-        measure = 0.0
-        for part in np.sum(slab, axis=1).tolist():
-            measure += part
+        # plain float additions in panel order: a cumulative sum is never
+        # pairwise (the builtin sum() compensates since Python 3.12, which
+        # would change the last bits)
+        total = float(np.cumsum(np.sum(vals * slab, axis=1))[-1])
+        measure = float(np.cumsum(np.sum(slab, axis=1))[-1])
         # normalizing by the quadrature's own measure of the disk cancels
         # the discretization of ang(rho), so constant weights average to 1
         # exactly at every refinement stage

@@ -534,8 +534,7 @@ class TestGaugeProperties:
         for p in P_VALUES:
             for lam in (-2.0, -1.0):
                 spec = orlicz.resolve_breakpoints(p, lam)
-                rep = orlicz.verify_properties(spec, use_psi=True,
-                                               t_max=10.0 * spec.t2,
+                rep = orlicz.verify_properties(spec, t_max=10.0 * spec.t2,
                                                grid_points=10_000)
                 assert rep.monotonicity_violations == 0, (p, lam)
                 assert rep.convexity_violations == 0, (p, lam)

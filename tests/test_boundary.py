@@ -237,6 +237,11 @@ def dense_ring_sums(float_build, params):
         for c, im, w in zip(*float_build)])
 
 
+# a one-piece float-node chord is read as u(x + d) - u(x), which cancels
+# to an absolute error of a few 2^-53: 1.35e-11 relative at ring 14 of
+# pl_kinked, against chord(s d) from the slope
+ONE_PIECE_RTOL = 1e-10
+
 PAIR_POINTS = [EnergyParams(1.5, 0.25, 1.0), EnergyParams(2.0, -0.5, -0.5),
                EnergyParams(3.0, 0.5, 0.5)]
 
@@ -247,17 +252,32 @@ def check_against_float_nodes(m, spec):
     chords, image_chords, weights = float_build
     assert geom.rings == list(range(1, spec[2] + 1))
     masks = straddles(m, *spec)
+    _, piece_slope = np.unique(np.diff(m.lift.ys) / np.diff(m.lift.xs),
+                               return_inverse=True)
+    n_slopes = piece_slope.max() + 1
     for j, mask in enumerate(masks):
         assert np.array_equal(geom.chords[j], chords[j]), j
         assert geom.weights[j] == weights[j], j
         assert np.array_equal(geom.straddle_counts[j], mask.sum(axis=1)), j
-        # the geometry keeps them in order of offset, then node
-        assert np.array_equal(geom.straddle_chords[j],
-                              image_chords[j].T[mask]), j
-        # every pair is counted once, on one piece or straddling
+        dense = (image_chords[j] / chords[j]).T
         counts = geom.slope_counts[j]
-        assert np.all(counts >= 0), j
-        assert int(counts.sum() + mask.sum()) == image_chords[j].size, j
+        head = geom.ratios[j][:counts.size].reshape(counts.shape)
+        # Phi's arguments of the straddling pairs follow, in order of
+        # offset, then node, bit for bit the float-node ratios
+        assert np.array_equal(geom.ratios[j][counts.size:], dense[mask]), j
+        # every other pair lies on the piece that holds its midpoint, and
+        # is counted once on that piece's slope, whose ratio it has
+        x, offs, _ = ring_nodes(*spec[:2], j + 1)
+        mid = (x[None, :] + offs[:, None] / 2) % 1.0
+        label = piece_slope[np.searchsorted(m.lift.xs, mid, "right") - 1]
+        for o in range(offs.size):
+            one = label[o][~mask[o]]
+            assert np.array_equal(np.bincount(one, minlength=n_slopes),
+                                  counts[o]), (j, o)
+            np.testing.assert_allclose(head[o, one], dense[o][~mask[o]],
+                                       rtol=ONE_PIECE_RTOL, err_msg=str(j))
+        # a slope no pair has keeps 0, whose Phi is 0
+        assert np.all(head[counts == 0] == 0.0), j
     for params in PAIR_POINTS:
         rep = boundary.evaluate_gauge_pair(geom, params)
         np.testing.assert_allclose(rep.per_level,

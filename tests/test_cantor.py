@@ -70,6 +70,45 @@ def test_schedule_past_the_exponent_cap_raises_before_any_tree():
         cantor.build_schedule("power", 1e-4, 2)
 
 
+def candidate_search_n0(js):
+    """The first candidate n0 in 1..depth from which j_(n+1) >= j_n + 2 and
+    j_n >= 2n hold at every step n >= max(1, n0 - 1), or None: the
+    O(depth^2) search that the one-pass rule replaced."""
+    depth = len(js)
+    for cand in range(1, depth + 1):
+        start = max(1, cand - 1)
+        if all(js[n] - js[n - 1] >= 2 for n in range(start, depth)) and \
+                all(js[n - 1] >= 2 * n for n in range(start, depth + 1)):
+            return cand
+    return None
+
+
+@pytest.mark.parametrize("kind, parameters", [
+    ("power", list(np.linspace(0.05, 6.0, 120)) + [2 / 3, 4 / 3, 2.0, 8.0]),
+    ("double_exp", list(np.linspace(1.01, 3.0, 40)) + [2.0])])
+def test_n0_matches_the_candidate_search(kind, parameters):
+    for parameter in map(float, parameters):
+        for depth in range(2, 39):
+            try:
+                js = [cantor.strict_floor(
+                    2.0 ** (n / parameter) if kind == "power"
+                    else math.exp(2.0 ** (n * (parameter - 1))))
+                    for n in range(1, depth + 1)]
+            except OverflowError:
+                js = None
+            case = (kind, parameter, depth)
+            if js is None or max(js) > cantor.MAX_MARGIN_EXPONENT:
+                with pytest.raises(DepthBudgetError):
+                    cantor.build_schedule(kind, parameter, depth)
+            elif candidate_search_n0(js) is None:
+                with pytest.raises(ConstructionError):
+                    cantor.build_schedule(kind, parameter, depth)
+            else:
+                sch = cantor.build_schedule(kind, parameter, depth)
+                assert sch.j == tuple(js), case
+                assert sch.n0 == candidate_search_n0(js), case
+
+
 @pytest.mark.parametrize("kind", ["power", "double_exp"])
 def test_schedule_refuses_a_nan_parameter(kind):
     with pytest.raises(DomainError):

@@ -154,9 +154,8 @@ def test_inverse_stage_peak_stays_bounded(m):
 def test_staircase_pair_geometry_stays_small():
     geom = boundary.PairGeometry.build(make_staircase_map("power", 2.0, 10),
                                        diagonal_rings=14)
-    held = sum(a.nbytes for field in (geom.chords, geom.slope_chords,
-                                      geom.slope_counts, geom.straddle_chords,
-                                      geom.straddle_counts)
+    held = sum(a.nbytes for field in (geom.chords, geom.ratios,
+                                      geom.slope_counts, geom.straddle_counts)
                for a in field)
     assert held / 2 ** 20 <= STAIRCASE_GEOMETRY_MB
 

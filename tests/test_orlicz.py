@@ -165,11 +165,22 @@ def test_derivative_ratio_sup_power_law():
 
 def test_repaired_gauge_property_report():
     spec = orlicz.resolve_breakpoints(2.0, -1.0)
-    rep = orlicz.verify_properties(spec, use_psi=True, t_max=10 * spec.t2)
+    rep = orlicz.verify_properties(spec, t_max=10 * spec.t2)
     assert rep.monotonicity_violations == 0
     assert rep.convexity_violations == 0
     assert np.isfinite(rep.derivative_ratio_sup)
     assert rep.comparability_sup < 50.0
+
+
+def test_properties_of_a_repaired_gauge_are_those_of_psi():
+    # the orlicz_check_negative golden's doubling sup; Phi's own is 8.0
+    rep = orlicz.verify_properties(orlicz.resolve_breakpoints(3.0, -1.5))
+    assert rep.doubling_sup == 13.891957586995225
+
+
+def test_properties_refuse_an_unresolved_negative_lambda():
+    with pytest.raises(UnresolvedSpecError):
+        orlicz.verify_properties(orlicz.OrliczSpec(2.0, -1.0))
 
 
 def test_breakpoint_failure_is_reported():
