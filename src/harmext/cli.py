@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import re
 import sys
@@ -181,11 +182,25 @@ def _ratio_summary(reports, p: float) -> dict:
     return out
 
 
-def cmd_energy(args) -> int:
+def _grid_reports(args):
+    """The map, and (params, reports) per point of the parameter grid, in
+    flag order (p, then alpha, then lambda).
+
+    The functionals and their level cap are checked before any point, and
+    each point's parameters just before its reports; ``energy`` is the
+    one-point case.
+    """
     circle_map = from_description(args.map)
-    params = EnergyParams(args.p[0], args.alpha[0], args.lam[0])
-    reports = _compute_reports(circle_map, {}, _wanted_functionals(args),
-                               params, args.levels)
+    wanted, stages, points = _wanted_functionals(args), {}, []
+    for p, alpha, lam in itertools.product(args.p, args.alpha, args.lam):
+        params = EnergyParams(p, alpha, lam)
+        points.append((params, _compute_reports(
+            circle_map, stages, wanted, params, args.levels)))
+    return circle_map, points
+
+
+def cmd_energy(args) -> int:
+    circle_map, [(params, reports)] = _grid_reports(args)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "energy",
@@ -199,30 +214,19 @@ def cmd_energy(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    circle_map = from_description(args.map)
-    wanted = _wanted_functionals(args)
-    stages = {}
-    entries = []
-    rows = []
-    for p in args.p:
-        for alpha in args.alpha:
-            for lam in args.lam:
-                params = EnergyParams(p, alpha, lam)
-                reports = _compute_reports(circle_map, stages, wanted,
-                                           params, args.levels)
-                entry = {
-                    "p": p, "alpha": alpha, "lambda": lam,
-                    "region": region_label(p, alpha, lam),
-                    "results": [r.to_json_dict() for r in reports],
-                }
-                entries.append(entry)
-                rows.extend(row for r in reports for row in r.to_csv_rows())
+    circle_map, points = _grid_reports(args)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "sweep",
         "map": circle_map.description,
-        "grid": entries,
+        "grid": [{
+            "p": params.p, "alpha": params.alpha, "lambda": params.lam,
+            "region": region_label(params.p, params.alpha, params.lam),
+            "results": [r.to_json_dict() for r in reports],
+        } for params, reports in points],
     }
+    rows = [row for _, reports in points
+            for r in reports for row in r.to_csv_rows()]
     _emit(args, payload, rows)
     return 0
 

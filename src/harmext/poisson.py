@@ -236,10 +236,11 @@ def _coefficient_grid(boundary: CircleMap, M: int) -> np.ndarray:
     n = 4t + r and their forward-scaled FFT y_r, one row at a time, so
     pocketfft's work buffers are a quarter of the grid.  The join then
     walks the columns q in chunks of ``_JOIN_CHUNK``: with z_r = w^(rq) y_r
-    (w = e^(-2 pi i/M)), c_(q + sM/4) = (1/4) sum_r (-i)^(rs) z_r[q], a
-    4-point DFT across the rows, written back over the same columns.  The
-    twiddles w^(rq), q = a + t, are products of a table over the chunk
-    starts a and one over t < ``_JOIN_CHUNK``.
+    (w = e^(-2 pi i/M)), c_(q + sM/4) = (1/4) sum_r (-i)^(rs) z_r[q], the
+    forward-scaled 4-point DFT across the rows, which numpy's FFT writes
+    back over the same columns.  The twiddles w^(rq), q = a + t, are
+    products of a table over the chunk starts a and one over
+    t < ``_JOIN_CHUNK``.
     """
     N = M // _RADIX
     grid = np.empty(M, dtype=complex)
@@ -253,22 +254,14 @@ def _coefficient_grid(boundary: CircleMap, M: int) -> np.ndarray:
         np.fft.fft(row, norm="forward", out=row)
     r_col = np.arange(1, _RADIX)[:, None]
     head = _exp_turns(r_col * np.arange(0, N, _JOIN_CHUNK) / -M)
-    # the join's 1/4 rides on the twiddles (and on row 0), exactly
     tail = _exp_turns(r_col * np.arange(_JOIN_CHUNK) / -M)
-    tail *= 1.0 / _RADIX
     twiddle = np.empty_like(tail)
     for c, a in enumerate(range(0, N, _JOIN_CHUNK)):
         z = rows[:, a:a + _JOIN_CHUNK]
         np.multiply(tail, head[:, c:c + 1], out=twiddle)
         z[1:] *= twiddle
-        z[0] *= 1.0 / _RADIX
-        s02, d02 = z[0] + z[2], z[0] - z[2]
-        s13, d13 = z[1] + z[3], z[1] - z[3]
-        d13 *= -1j
-        np.add(s02, s13, out=z[0])
-        np.add(d02, d13, out=z[1])
-        np.subtract(s02, s13, out=z[2])
-        np.subtract(d02, d13, out=z[3])
+        # the 1/4 is a power of two, so it rounds nothing
+        np.fft.fft(z, axis=0, norm="forward", out=z)
     return grid
 
 

@@ -462,6 +462,32 @@ def test_sweep_builds_each_stage_once(monkeypatch, tmp_path):
     assert built == Counter({"pair": 1, "inverse": 2, ("dh", 6): 1})
 
 
+@pytest.mark.parametrize("desc", [
+    "piecewise_linear:0,0;0.25,0.5;0.75,0.6;1,1", "cantor_log:s=2,depth=10"])
+def test_energy_reports_are_a_one_point_sweep(desc, tmp_path):
+    # energy is the one-point case of the sweep's loop: its reports are
+    # the sweep point's results, byte for byte as JSON
+    argv = ["--map", desc, "--p", "2.5", "--alpha", "0.25",
+            "--lambda", "-0.5", "--levels", "8",
+            "--functionals", "e1,e2,i1,i2,u,v"]
+    one, grid = tmp_path / "energy.json", tmp_path / "sweep.json"
+    assert main(["energy", *argv, "--out", str(one)]) == 0
+    assert main(["sweep", *argv, "--out", str(grid)]) == 0
+    [point] = json.loads(grid.read_text())["grid"]
+    reports = json.loads(one.read_text())["reports"]
+    assert len(reports) == 6
+    assert json.dumps(reports, sort_keys=True) == \
+        json.dumps(point["results"], sort_keys=True)
+
+
+@pytest.mark.parametrize("command", ["energy", "sweep"])
+def test_functionals_are_checked_before_the_parameters(command, capsys):
+    # both commands check --functionals before any parameter point
+    assert main([command, "--p", "0.5", "--functionals", "bogus"]) == 1
+    err = capsys.readouterr().err
+    assert "error: unknown functionals ['bogus']" in err and "p=" not in err
+
+
 # ------------------------------------------------------- other subcommands
 
 def test_examples_studies_pass(tmp_path):

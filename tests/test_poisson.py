@@ -327,6 +327,17 @@ def _quarter_fft(samples):
     return np.concatenate([a + c, b + d, a - c, b - d]) / 4
 
 
+@pytest.mark.parametrize("name", ["pl_kinked", "staircase_s2"])
+def test_coefficient_grids_are_the_quarter_fft_bit_for_bit(fleet, name):
+    # numpy's 4-point FFT across the rows, with its forward 1/4, gives the
+    # bits of the hand-written butterfly and division by 4
+    for e in range(14, 23):
+        m = 1 << e
+        np.testing.assert_array_equal(
+            _coefficient_grid(fleet[name], m),
+            _quarter_fft(_boundary_samples(fleet[name], m)), err_msg=str(e))
+
+
 def _grid_size(r):
     need = int(37.0 / max(1.0 - r, 1e-12)) + 1
     length = 2 * min(need, 1 << 21)
@@ -566,6 +577,22 @@ def test_tail_estimate_follows_the_log_weight(ext_identity):
     assert deep == pytest.approx(131.91, rel=1e-3)
     assert rep12.value + rep12.notes["tail_estimate"] == pytest.approx(
         deep, rel=5e-3)
+
+
+@pytest.mark.parametrize("name", ["pl_mild", "pl_kinked"])
+def test_tail_model_agrees_two_levels_deeper(fleet, name):
+    # on the piecewise-linear maps the j^lam model of the levels past J
+    # holds: i1 and i2 completed by their tails at J = 14 and at J = 16
+    # agree to 6.4e-8 at most (pl_kinked at (2, 0, 0)).  The staircase is
+    # left out: there the model undershoots, by up to 2.4e-3
+    ext = PoissonExtension(fleet[name])
+    for point in ((2.0, 0.0, 0.0), (3.0, 0.5, 0.5), (2.0, 0.5, -0.5)):
+        params = EnergyParams(*point)
+        for integral in (ext.kernel_weight_integral,
+                         ext.kernel_gauge_integral):
+            a, b = (rep.value + rep.notes["tail_estimate"]
+                    for rep in (integral(params, 14), integral(params, 16)))
+            assert a == pytest.approx(b, rel=2e-7, abs=0), (point, integral)
 
 
 def test_integral_reports_are_cached_consistently(ext_pl):
