@@ -47,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circle_map import (CircleMap, LevelIncrements,
-                         PiecewiseLinearLift, log_ldexp)
+                         PiecewiseLinearLift, log_ldexp, number_text)
 from .errors import (ConstructionError, DepthBudgetError, DomainError)
 
 _FLOAT_MARGIN_BITS = 48   # float tables stop once margins drop below 2^-48
@@ -349,8 +349,8 @@ def make_staircase_map(kind: str, parameter: float, depth: int) -> CircleMap:
     schedule = build_schedule(kind, parameter, depth)
     name = "cantor_log" if kind == "power" else "cantor_loglog"
     key = "s" if kind == "power" else "p"
-    return CircleMap(lift=StaircaseLift(schedule),
-                     description=f"{name}:{key}={parameter:g},depth={depth}")
+    desc = f"{name}:{key}={number_text(parameter)},depth={depth}"
+    return CircleMap(lift=StaircaseLift(schedule), description=desc)
 
 
 # ------------------------------------------------- modulus certification

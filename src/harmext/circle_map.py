@@ -17,15 +17,18 @@ map's coefficients (``fourier_coefficients``) are the lift's times
 e^(2 pi i rho).
 
 Inversion solves on a dyadic grid k 2^-n, n = ceil(-log2 tol) + 2, with
-the one tolerance tol = max(eval_tolerance 1e-2, 1e-14), so the grid is
-2^-49 at its finest: each side of the preimage is the smallest grid point
-whose value reaches the target (>= on the left side, > on the right),
-which is what n bisection steps over [0, 1] return.  It is read off the
-breakpoints (the piece holding the target gives the seed) and settled by
-a few unit steps of k; a target the steps do not settle (a nearly flat
-piece rounds many grid points to one value) is bisected.  The two sides
-differ only where the left one's value is the target itself, so the
-right side is searched only there.  When the requested value sits on a
+the one tolerance tol = max(eval_tolerance 1e-2, 1e-14) of the lift, so
+the grid is 2^-49 at its finest: each side of the preimage is the
+smallest grid point whose value reaches the target (>= on the left side,
+> on the right), which is what n bisection steps over [0, 1] return.
+k starts from numpy's inverse interpolation (``np.interp`` on the
+swapped breakpoints) rounded up onto the grid, and one unit step each
+way settles it; a target that step does not settle (a nearly flat piece
+rounds many grid points to one value) is bisected.  The right side is
+the same >= search one float above the target, since u > t holds for
+floats exactly where u >= the next float after t; the two sides differ
+only where the left one's value is the target itself, so the right side
+is searched only there.  When the requested value sits on a
 plateau the midpoint of the plateau is returned, so ``invert`` is a
 genuine monotone right inverse even for degenerate maps.  The lift is
 continuous from 0 to 1, so every finite target has a preimage and none
@@ -59,7 +62,6 @@ import numpy as np
 
 from .errors import DomainError
 
-_SNAP_STEPS = 4               # unit steps of k before a target is bisected
 _COEFF_BLOCK = 1 << 16        # pieces x frequencies evaluated at once
 _MIN_EXP = -1021              # ldexp(m, e) is normal from here, m in [1/2, 1)
 _LN2 = math.log(2.0)
@@ -250,11 +252,6 @@ class CircleMap:
             raise DomainError(
                 f"lift must fix 0 and 1 (got u(0)={u[0]!r}, u(1)={u[1]!r})")
 
-    @property
-    def eval_tolerance(self) -> float:
-        """How far the float lift may sit from the map it stands for."""
-        return self.lift.eval_tolerance
-
     # ---------------------------------------------------------------- eval
 
     def _lift(self, arr: np.ndarray) -> np.ndarray:
@@ -304,80 +301,66 @@ class CircleMap:
         """Monotone inverse of ``eval`` with plateau-midpoint convention.
 
         Returns t in [0,1) with eval(t) = y (mod 1), solved to the grid of
-        tol = max(eval_tolerance 1e-2, 1e-14).  If y falls on a plateau of
-        the lift the midpoint of the plateau is returned.  The two sides
-        are the smallest grid points with u >= target and with u > target;
-        they differ only where the first lands on the target itself, so
-        the strict side is searched for those targets alone.
+        tol = max(eval_tolerance 1e-2, 1e-14), the lift's tolerance.  If y
+        falls on a plateau of the lift the midpoint of the plateau is
+        returned.  The two sides are the smallest grid points with
+        u >= target and with u > target, the latter found as the >= side
+        of the next float up; they differ only where the first lands on
+        the target itself, so the strict side is searched for those
+        targets alone.
         """
-        tol = max(self.eval_tolerance * 1e-2, 1e-14)
+        tol = max(self.lift.eval_tolerance * 1e-2, 1e-14)
         arr, scalar = _as_array(y)
         _check_finite(arr, "invert")
         target = _mod_one(arr - self.rotation)
         t = np.reshape(target, -1)
 
-        left = self._bisect_smallest(t, tol)
+        left = self._grid_solve(t, tol)
         # left passes u > t unless u(left) = t, and every grid point below
-        # it fails u >= t and so u > t: the strict side is left but there
+        # it fails u >= t and so u > t: the strict side is left but there.
+        # For floats u > t holds exactly where u >= the next float after t
         tie = (left < 1.0) & (self._lift(left) == t)
         right = left.copy()
-        right[tie] = self._bisect_smallest(t[tie], tol, strict=True)
+        right[tie] = self._grid_solve(np.nextafter(t[tie], 2.0), tol)
         out = _mod_one((0.5 * (left + right)).reshape(np.shape(target)))
         return float(out) if scalar else out
 
-    def _bisect_smallest(self, target, tol, strict=False):
-        """Smallest x = k 2^-n, 1 <= k < 2^n, with u(x) >= target (> target
-        when strict), else 1; n = ceil(-log2 tol) + 2.
+    def _grid_solve(self, target, tol):
+        """Smallest x = k 2^-n, 1 <= k < 2^n, with u(x) >= target, else 1;
+        n = ceil(-log2 tol) + 2.
 
-        That is what n bisection steps over [0, 1] return.  The piece of
-        the lift holding the target gives a seed x*, k starts at
-        ceil(x* 2^n) and steps to the first k that passes; targets left
-        after ``_SNAP_STEPS`` steps either way are bisected.
+        That is what n bisection steps over [0, 1] return.  k starts at
+        ceil(x* 2^n), x* numpy's inverse interpolation of the target (the
+        swapped breakpoints), and takes one unit step up where it fails
+        and one down where k - 1 still passes; a target those steps do not
+        settle is bisected.
         """
         n = max(0, int(np.ceil(-np.log2(tol))) + 2)
         top, scale = 2.0 ** n, 2.0 ** -n
         t = target.reshape(-1)
-
-        def passes(x, idx):
-            vals = self._lift(x)
-            return vals > t[idx] if strict else vals >= t[idx]
-
-        xs, ys = self.lift.xs, self.lift.ys
-        j = np.clip(np.searchsorted(ys, t, side="right" if strict else "left"),
-                    1, ys.size - 1)
-        dy = ys[j] - ys[j - 1]
-        # a flat piece (dy = 0) seeds at its left end
-        rise = np.divide(t - ys[j - 1], dy, out=np.zeros_like(t),
-                         where=dy > 0)
-        seed = xs[j - 1] + rise * (xs[j] - xs[j - 1])
-        k = np.clip(np.ceil(seed * top), 1.0, top)
+        k = np.interp(t, self.lift.ys, self.lift.xs) * top
+        np.clip(np.ceil(k, out=k), 1.0, top, out=k)
 
         every = np.arange(t.size)
-        held = passes(k * scale, every)
-        # up while k fails; k = 2^n is taken untested, as by the bisection
+        held = self._lift(k * scale) >= t
+        # up where k fails; k = 2^n is taken untested, as by the bisection
         up = every[~held & (k < top)]
-        for _ in range(_SNAP_STEPS):
-            if not up.size:
-                break
-            k[up] += 1.0
-            up = up[k[up] < top]
-            up = up[~passes(k[up] * scale, up)]
-        # down while k - 1 still passes (bisection never tests x = 0)
+        k[up] += 1.0
+        up = up[k[up] < top]
+        up = up[self._lift(k[up] * scale) < t[up]]
+        # down where k - 1 still passes (bisection never tests x = 0)
         down = every[held & (k > 1.0)]
-        down = down[passes((k[down] - 1.0) * scale, down)]
-        for _ in range(_SNAP_STEPS):
-            if not down.size:
-                break
-            k[down] -= 1.0
-            down = down[k[down] > 1.0]
-            down = down[passes((k[down] - 1.0) * scale, down)]
+        down = down[self._lift((k[down] - 1.0) * scale) >= t[down]]
+        k[down] -= 1.0
+        down = down[k[down] > 1.0]
+        down = down[self._lift((k[down] - 1.0) * scale) >= t[down]]
 
         rest = np.concatenate([up, down])
         if rest.size:
             lo, hi = np.zeros(rest.size), np.ones(rest.size)
             for _ in range(n):
                 mid = 0.5 * (lo + hi)
-                take_hi = passes(mid, rest)
+                take_hi = self._lift(mid) >= t[rest]
                 hi = np.where(take_hi, mid, hi)
                 lo = np.where(take_hi, lo, mid)
             k[rest] = hi * top
@@ -404,6 +387,13 @@ def rotation_map(rho: float) -> CircleMap:
                      rotation=float(rho), description=f"rotation:{rho}")
 
 
+def number_text(x: float) -> str:
+    """``f"{x:g}"`` where that reads back as the float x, else ``repr``: a
+    description must rebuild the map it names."""
+    short = f"{float(x):g}"
+    return short if float(short) == x else repr(float(x))
+
+
 def piecewise_linear(breakpoints: Sequence[tuple[float, float]]) -> CircleMap:
     """Circle map whose lift linearly interpolates (x_i, y_i) breakpoints.
 
@@ -412,7 +402,8 @@ def piecewise_linear(breakpoints: Sequence[tuple[float, float]]) -> CircleMap:
     """
     pts = sorted((float(x), float(y)) for x, y in breakpoints)
     lift = PiecewiseLinearLift([x for x, _ in pts], [y for _, y in pts])
-    desc = "piecewise_linear:" + ";".join(f"{x:g},{y:g}" for x, y in pts)
+    desc = "piecewise_linear:" + ";".join(
+        f"{number_text(x)},{number_text(y)}" for x, y in pts)
     return CircleMap(lift=lift, description=desc)
 
 

@@ -34,7 +34,7 @@ def test_piecewise_linear_breakpoint_readout():
 def test_staircase_midpoint_value():
     # midpoint of the first kept plateau carries the value 1/2
     m = make_staircase_map("power", 2.0, 10)
-    assert m.eval(0.5) == pytest.approx(0.5, abs=m.eval_tolerance)
+    assert m.eval(0.5) == pytest.approx(0.5, abs=m.lift.eval_tolerance)
 
 
 def test_eval_domain_error():
@@ -206,7 +206,7 @@ def test_invert_staircase_plateau_midpoint():
     m = make_staircase_map("power", 2.0, 10)
     grid = np.linspace(0.0, 1.0, 1 << 14)
     vals = m.eval(grid)
-    close = grid[np.abs(vals - 0.5) <= 2 * m.eval_tolerance]
+    close = grid[np.abs(vals - 0.5) <= 2 * m.lift.eval_tolerance]
     oracle_mid = 0.5 * (close.min() + close.max())
     assert m.invert(0.5) == pytest.approx(oracle_mid, abs=1e-3)
     assert m.invert(0.5) == pytest.approx(0.5, abs=1e-6)
@@ -240,8 +240,8 @@ def test_invert_eval_roundtrip(t):
 # ------------------------------------- the grid solve against bisection
 
 def _bisection(m, target, tol, strict=False):
-    """The bisection ``_bisect_smallest`` ran before the breakpoint solve:
-    n = ceil(-log2 tol) + 2 halvings of [0, 1], keeping the upper end."""
+    """The bisection that ``_grid_solve`` stands for: n = ceil(-log2 tol)
+    + 2 halvings of [0, 1], keeping the upper end."""
     lo = np.zeros_like(target)
     hi = np.ones_like(target)
     for _ in range(int(np.ceil(-np.log2(tol))) + 2):
@@ -254,7 +254,13 @@ def _bisection(m, target, tol, strict=False):
 
 
 def _default_tol(m):
-    return max(m.eval_tolerance * 1e-2, 1e-14)
+    return max(m.lift.eval_tolerance * 1e-2, 1e-14)
+
+
+def _one_up(target, strict):
+    """The target of the >= search that finds the > side when strict: for
+    floats u > t holds exactly where u >= the next float after t."""
+    return np.nextafter(target, 2.0) if strict else target
 
 
 def _invert_by_bisection(m, y):
@@ -270,9 +276,9 @@ def _invert_by_bisection(m, y):
 def test_grid_solve_matches_bisection_on_the_v_targets(name, monkeypatch):
     # every target the fine and coarse inverse geometries of v ask for:
     # invert's result against both bisections, and each grid solve against
-    # the bisection of its own side
+    # the >= bisection of its own target (one float up on the > side)
     m = build_fleet()[name]
-    invert, solve = m.invert, m._bisect_smallest
+    invert, solve = m.invert, m._grid_solve
     inverted, calls = [], []
 
     def record_invert(y):
@@ -280,21 +286,21 @@ def test_grid_solve_matches_bisection_on_the_v_targets(name, monkeypatch):
         inverted.append((np.array(y, dtype=float).ravel(), out.ravel()))
         return out
 
-    def record_solve(target, tol, strict=False):
-        calls.append((target, tol, strict))
-        return solve(target, tol, strict)
+    def record_solve(target, tol):
+        calls.append((target, tol))
+        return solve(target, tol)
 
     monkeypatch.setattr(m, "invert", record_invert)
-    monkeypatch.setattr(m, "_bisect_smallest", record_solve)
+    monkeypatch.setattr(m, "_grid_solve", record_solve)
     inverse_kernel_geometries(m)
     monkeypatch.undo()
     y, got = (np.concatenate(part) for part in zip(*inverted))
     # 192 x 1,792 and 96 x 896 offset targets, then the outer nodes
     assert y.size >= 430_080 + 192 + 96
     assert np.array_equal(got, _invert_by_bisection(m, y))
-    for target, tol, strict in calls:
-        assert np.array_equal(solve(target, tol, strict),
-                              _bisection(m, target, tol, strict))
+    for target, tol in calls:
+        assert np.array_equal(solve(target, tol),
+                              _bisection(m, target, tol))
 
 
 # targets whose >= side lands on the target itself, where the > side is
@@ -314,7 +320,7 @@ def test_invert_matches_bisection_where_the_target_is_hit(fleet, name):
     y = m.lift.ys if m.lift.xs.size > 2 else \
         np.mod(GRID_EXACT + m.rotation, 1.0)
     target = np.mod(y - m.rotation, 1.0)
-    left = m._bisect_smallest(target, _default_tol(m))
+    left = m._grid_solve(target, _default_tol(m))
     # the strict search runs on these targets
     assert np.any((left < 1.0) & (m._lift(left) == target))
     assert np.array_equal(m.invert(y), _invert_by_bisection(m, y))
@@ -328,7 +334,7 @@ def test_grid_solve_matches_bisection_at_the_breakpoints(fleet, name):
                              np.nextafter(ys, np.inf), [0.0]])
     for strict in (False, True):
         assert np.array_equal(
-            m._bisect_smallest(target, _default_tol(m), strict),
+            m._grid_solve(_one_up(target, strict), _default_tol(m)),
             _bisection(m, target, _default_tol(m), strict))
 
 
@@ -344,7 +350,7 @@ def test_grid_solve_matches_bisection_on_flat_pieces(rise, tol):
                              np.nextafter(0.5, [-1.0, 2.0]),
                              np.linspace(0.0, 1.0, 257)])
     for strict in (False, True):
-        assert np.array_equal(m._bisect_smallest(target, tol, strict),
+        assert np.array_equal(m._grid_solve(_one_up(target, strict), tol),
                               _bisection(m, target, tol, strict))
 
 
@@ -352,7 +358,7 @@ def test_grid_solve_of_a_scalar_target():
     m = circle_map.piecewise_linear(PL)
     target = np.mod(np.asarray(0.3) - m.rotation, 1.0)
     for strict in (False, True):
-        got = m._bisect_smallest(target, 1e-12, strict)
+        got = m._grid_solve(_one_up(target, strict), 1e-12)
         want = _bisection(m, target, 1e-12, strict)
         assert np.shape(got) == np.shape(want) == ()
         assert got == want
@@ -510,15 +516,19 @@ def test_lift_must_be_monotone():
 
 
 def test_from_description_roundtrip():
+    maps = []
     for desc in ("identity", "rotation:0.3",
                  "piecewise_linear:0,0;0.5,0.25;1,1",
                  "cantor_log:s=2,depth=10", "cantor_loglog:p=2,depth=3"):
-        m = circle_map.from_description(desc)
-        assert m.description.split(":")[0] == desc.split(":")[0]
-        # a description reparses to an equivalent map
-        m2 = circle_map.from_description(m.description)
-        t = np.linspace(0, 1, 257)
-        np.testing.assert_allclose(m.eval(t), m2.eval(t), atol=1e-12)
+        maps.append(circle_map.from_description(desc))
+        assert maps[-1].description.split(":")[0] == desc.split(":")[0]
+    # numbers that :g would round: 0.123457, and s = 1.33333, whose
+    # schedule has j_4 = 8 where 4/3 has 7
+    maps += [circle_map.piecewise_linear(((0, 0), (0.1234567, 0.2), (1, 1))),
+             make_staircase_map("power", 4 / 3, 11)]
+    for m in maps:
+        # a description reparses to the map it names
+        assert circle_map.from_description(m.description) == m
 
 
 @pytest.mark.parametrize("bad", [

@@ -17,9 +17,10 @@ per (offset, slope) and the image chords of the straddling pairs only: the
 pairs with a breakpoint of the lift, 0 or 1 between their ends.  The
 inverse stage holds its (outer node x offset) chord array and inverts the
 targets one block of outer nodes at a time, so its peak is that array and
-one block's temporaries, not a dozen arrays of every target.  The
-staircase recursion runs over blocks of frequencies, so a long frequency
-vector costs its output and one block's arrays.  The modulus certificate of
+one block's temporaries, not a dozen arrays of every target; ``invert``
+itself holds a few arrays the size of its targets.  The staircase
+recursion runs over blocks of frequencies, so a long frequency vector
+costs its output and one block's arrays.  The modulus certificate of
 a staircase counts its 2^(depth+1) gap pairs without listing them, so
 depth 24 holds only its random and plateau pairs.
 """
@@ -58,6 +59,10 @@ U_PEAK_MB = 4.0
 # the fine and coarse inverse geometries of pl_kinked and staircase_s2
 # peak near 6.6 MB; inverting all 344,064 targets at once took 32-34 MB
 INVERSE_STAGE_PEAK_MB = 8.0
+# invert on 32,256 random targets of pl_kinked peaks at 1.54 MB traced,
+# 0.25 MB of them its result; the seed read off the pieces by hand, with
+# four unit steps each way, held about eleven such arrays: 2.77 MB
+INVERT_PEAK_MB = 2.0
 # the staircase's 291,264 straddling pairs at 14 rings take 2.3 MB
 STAIRCASE_GEOMETRY_MB = 8.0
 # the staircase coefficients at k = -2^18..2^18: 8 MB of output, a float
@@ -149,6 +154,17 @@ def test_inverse_stage_peak_stays_bounded(m):
     finally:
         tracemalloc.stop()
     assert stage_mb <= INVERSE_STAGE_PEAK_MB
+
+
+def test_invert_peak_stays_bounded():
+    m = circle_map.piecewise_linear(PL_KINKED)
+    y = np.random.default_rng(0).random(32_256)
+    tracemalloc.start()
+    try:
+        _, invert_mb = _traced_peak_mb(lambda: m.invert(y))
+    finally:
+        tracemalloc.stop()
+    assert invert_mb <= INVERT_PEAK_MB
 
 
 def test_staircase_pair_geometry_stays_small():
